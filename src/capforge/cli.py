@@ -103,6 +103,28 @@ def build_parser() -> _Parser:
     return p
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(x) for x in value)
+
+
+# The config keys the commands read, each with its type check and the type's name.
+_CONFIG_TYPES = {
+    "construction": (lambda v: isinstance(v, str), "a string"),
+    "nu": (_is_int, "an integer"),
+    "n": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "n1": (_is_int, "an integer"),
+    "N1": (_is_int, "an integer"),
+    "alpha": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "nus": (_is_int_list, "a list of integers"),
+    "seeds": (_is_int_list, "a list of integers"),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -112,6 +134,11 @@ def _load_config(path: str | None) -> dict:
         raise SystemExit(_usage_error(f"cannot read config {path}: {exc}"))
     if not isinstance(cfg, dict):
         raise SystemExit(_usage_error(f"config {path} must hold a JSON object"))
+    for key, value in cfg.items():
+        if key in _CONFIG_TYPES:
+            ok, kind = _CONFIG_TYPES[key]
+            if not ok(value):
+                raise SystemExit(_usage_error(f"config {path}: {key!r} must be {kind}, got {value!r}"))
     return cfg
 
 
@@ -133,7 +160,10 @@ def _resolve_cap(flag) -> int:
         return flag
     env = os.environ.get("CAPFORGE_CAP")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise SystemExit(_usage_error(f"CAPFORGE_CAP must be an integer, got {env!r}")) from None
     return DEFAULT_CAP
 
 
@@ -225,6 +255,8 @@ def _load_constructed(path: str):
 def cmd_series(args) -> int:
     cap = _resolve_cap(args.cap)
     mode = args.mode.replace("-", "_")
+    if args.k_max < 1:
+        return _usage_error("--k-max must be >= 1")
     try:
         target, meta = _load_constructed(args.graph)
     except (OSError, gio.GraphFormatError, ValueError, KeyError) as exc:
@@ -338,6 +370,8 @@ def cmd_multi_jump(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     k_max = args.k_max if args.k_max is not None else spec.nus[-1]
+    if k_max < 1:
+        return _usage_error("--k-max must be >= 1")
     report = analysis.independence_series(cg, k_max, mode="certificate_only", cap=cap)
     rows = []
     print(f"product graph: N={cg.graph.n}, factor sizes {spec.sizes()}, jumps at {list(spec.nus)}")
@@ -356,10 +390,11 @@ def cmd_multi_jump(args) -> int:
     return 0
 
 
-def _mc_trial(task: tuple[int, int, int]) -> int:
-    nu, n, seed = task
+def _mc_trial(task: tuple[int, int, int, SolverBudget | None]) -> tuple[int, str]:
+    nu, n, seed, budget = task
     cg = sample_jump_graph(JumpParams(nu=nu, n=n, seed=seed))
-    return max_independent_set(cg.graph).size
+    res = max_independent_set(cg.graph, budget)
+    return res.size, res.status
 
 
 def cmd_mc_alpha(args) -> int:
@@ -377,12 +412,16 @@ def cmd_mc_alpha(args) -> int:
         return _usage_error(str(exc))
     N = params.N
     s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
-    tasks = [(nu, n, seed + i) for i in range(args.trials)]
+    budget = _budget(args)
+    tasks = [(nu, n, seed + i, budget) for i in range(args.trials)]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            alphas = list(pool.map(_mc_trial, tasks))
+            results = list(pool.map(_mc_trial, tasks))
     else:
-        alphas = [_mc_trial(t) for t in tasks]
+        results = [_mc_trial(t) for t in tasks]
+    alphas = [size for size, _ in results]
+    # a trial that ran out of budget reports a lower bound on its alpha
+    exhausted = [seed + i for i, (_, status) in enumerate(results) if status == "lower_bound"]
     hist: dict[int, int] = {}
     for a in alphas:
         hist[a] = hist.get(a, 0) + 1
@@ -393,13 +432,16 @@ def cmd_mc_alpha(args) -> int:
         "threshold_s_star": s_star,
         "histogram": {str(k): hist[k] for k in sorted(hist)},
         "violating_seeds": violations,
+        "budget_exhausted_seeds": exhausted,
     }
     print(f"N={N} nu={nu} trials={args.trials}: alpha histogram (threshold s*={s_star})")
     for k in sorted(hist):
         print(f"  alpha={k}: {'#' * hist[k]} ({hist[k]})")
     if violations:
         print(f"threshold exceeded for seeds {violations}")
-    else:
+    if exhausted:
+        print(f"budget exhausted for seeds {exhausted}: their alphas are lower bounds")
+    elif not violations:
         print("all alphas below the union-bound threshold")
     if args.out:
         _write_report(report, args.out)

@@ -60,6 +60,8 @@ def read_graph(path) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}") from exc
+            if n < 1:
+                raise GraphFormatError(f"{path}:{lineno}: header needs at least one vertex, got {n}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"{path}:{lineno}: edge before header")

@@ -145,12 +145,30 @@ def mitm_mis(g: Graph) -> MISResult:
     )
 
 
-class _Abort(Exception):
-    pass
+# Complement rows are permuted this many at a time, so the unpacked bit
+# matrix stays at _RELABEL_BLOCK * n bytes however large the graph is.
+_RELABEL_BLOCK = 64
 
 
-class _TargetHit(Exception):
-    pass
+def _relabel(comp: list[int], order: list[int]) -> list[int]:
+    """Rows of ``comp`` renumbered so that vertex ``order[i]`` becomes ``i``:
+    row i of the result is row ``order[i]`` with its bits moved the same way."""
+    n = len(order)
+    nbytes = (n + 7) // 8
+    perm = np.array(order, dtype=np.intp)
+    rows: list[int] = []
+    for start in range(0, n, _RELABEL_BLOCK):
+        block = order[start : start + _RELABEL_BLOCK]
+        raw = b"".join(comp[v].to_bytes(nbytes, "little") for v in block)
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(block), nbytes),
+            axis=1,
+            count=n,
+            bitorder="little",
+        )
+        packed = np.packbits(bits[:, perm], axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return rows
 
 
 def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResult:
@@ -162,6 +180,9 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     target, so it terminates once a set of that size is found (status
     lower_bound) or refuted (certified_upper = target - 1). Exhausting
     max_nodes/max_time yields status lower_bound.
+
+    The search keeps its own stack of nodes, so its depth is limited by the
+    vertex count, not by the interpreter's recursion limit.
     """
     t0 = time.perf_counter()
     budget = budget or SolverBudget()
@@ -171,18 +192,7 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     n = g.n
     comp = g.complement_adjacency()
     root_order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
-    pos = [0] * n
-    for i, v in enumerate(root_order):
-        pos[v] = i
-    adj = [0] * n
-    for i, v in enumerate(root_order):
-        row = comp[v]
-        m = 0
-        while row:
-            low = row & -row
-            row ^= low
-            m |= 1 << pos[low.bit_length() - 1]
-        adj[i] = m
+    adj = _relabel(comp, root_order)
     notadj = [~a for a in adj]
     full = (1 << n) - 1
 
@@ -201,58 +211,73 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     deadline = t0 + budget.max_time if budget.max_time is not None else None
     nodes = 0
 
-    def expand(r_mask: int, size: int, cands: int) -> None:
-        nonlocal best, best_mask, nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _Abort
-        if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
-            raise _Abort
-        cutoff = best if best > floor_prune else floor_prune
-        if size + cands.bit_count() <= cutoff:
-            return
-        order = []
-        colors = []
-        color = 0
-        rest = cands
-        while rest:
-            color += 1
-            q = rest
-            while q:
-                low = q & -q
-                v = low.bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                rest ^= low
-                q ^= low
-                q &= notadj[v]
-        local = cands
-        for i in range(len(order) - 1, -1, -1):
-            cutoff = best if best > floor_prune else floor_prune
-            if size + colors[i] <= cutoff:
-                break
-            v = order[i]
-            low = 1 << v
-            sub = local & adj[v]
-            if sub:
-                expand(r_mask | low, size + 1, sub)
-            elif size + 1 > best:
-                best = size + 1
-                best_mask = r_mask | low
-                if target is not None and best >= target:
-                    raise _TargetHit
-            local ^= low
-
     completed = False
     hit_target = target is not None and best >= target
     if not hit_target:
-        try:
-            expand(0, 0, full)
-            completed = True
-        except _Abort:
-            pass
-        except _TargetHit:
-            hit_target = True
+        # One frame per open node: [r_mask, size, order, colors, cursor, local].
+        # The node (r_mask, size, cands) is entered at the top of the loop.
+        stack: list[list] = []
+        r_mask, size, cands = 0, 0, full
+        descend = True
+        while True:
+            if descend:
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    break
+                if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
+                    break
+                cutoff = best if best > floor_prune else floor_prune
+                if size + cands.bit_count() > cutoff:
+                    order = []
+                    colors = []
+                    color = 0
+                    rest = cands
+                    while rest:
+                        color += 1
+                        q = rest
+                        while q:
+                            low = q & -q
+                            v = low.bit_length() - 1
+                            order.append(v)
+                            colors.append(color)
+                            rest ^= low
+                            q ^= low
+                            q &= notadj[v]
+                    stack.append([r_mask, size, order, colors, len(order) - 1, cands])
+            if not stack:
+                completed = True
+                break
+            frame = stack[-1]
+            r_mask, size, order, colors, i, local = frame
+            descend = False
+            while i >= 0:
+                cutoff = best if best > floor_prune else floor_prune
+                if size + colors[i] <= cutoff:
+                    break
+                v = order[i]
+                low = 1 << v
+                sub = local & adj[v]
+                local ^= low
+                i -= 1
+                if sub:
+                    descend = True
+                    break
+                if size + 1 > best:
+                    best = size + 1
+                    best_mask = r_mask | low
+                    if target is not None and best >= target:
+                        hit_target = True
+                        break
+            if hit_target:
+                break
+            if descend:
+                frame[4] = i
+                frame[5] = local
+                r_mask |= low
+                size += 1
+                cands = sub
+            else:
+                stack.pop()
 
     members = frozenset(root_order[i] for i in range(n) if best_mask >> i & 1)
     certified_upper = None

@@ -151,6 +151,19 @@ def test_mc_alpha_single_trial(tmp_path):
     assert sum(report["histogram"].values()) == 1
 
 
+def test_mc_alpha_budget_reaches_the_solver(tmp_path, capsys):
+    out = tmp_path / "mc.json"
+    args = ("mc-alpha", "--nu", "2", "--n", "16", "--trials", "3", "--seed", "1", "--out", str(out))
+    assert run(*args) == 0
+    assert json.loads(out.read_text())["budget_exhausted_seeds"] == []
+    capsys.readouterr()
+    assert run(*args, "--budget-nodes", "2") == 0
+    assert json.loads(out.read_text())["budget_exhausted_seeds"] == [1, 2, 3]
+    printed = capsys.readouterr().out
+    assert "budget exhausted for seeds [1, 2, 3]" in printed
+    assert "all alphas below" not in printed
+
+
 def test_verify_fresh_construction_passes(tmp_path):
     for extra in ([], ["--simple"]):
         g = tmp_path / f"v{len(extra)}.col"
@@ -229,3 +242,43 @@ def test_cap_flag_beats_env(tmp_path, monkeypatch):
         "construct", "--multi", "--nus", "2,3", "--n1", "2", "--alpha", "1.5",
         "--seeds", "1,2", "--cap", "100", "--out", str(g),
     ) == 0
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip()
+
+
+def test_bad_cap_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CAPFORGE_CAP", "abc")
+    code = run("construct", "--nu", "2", "--n", "2", "--out", str(tmp_path / "g.col"))
+    assert code == 1
+    assert _one_line_error(capsys) == "capforge: error: CAPFORGE_CAP must be an integer, got 'abc'"
+
+
+def test_k_max_below_one_is_usage_error(tmp_path, capsys):
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "2", "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("series", str(g), "--k-max", "0") == 1
+    assert _one_line_error(capsys) == "capforge: error: --k-max must be >= 1"
+    assert run("multi-jump", "--nus", "2,3", "--n1", "2", "--k-max", "0") == 1
+    assert _one_line_error(capsys) == "capforge: error: --k-max must be >= 1"
+
+
+def test_config_value_of_wrong_type_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": "2"}))
+    assert run("construct", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "g.col")) == 1
+    err = _one_line_error(capsys)
+    assert "'nu' must be an integer" in err and "\n" not in err
+
+
+def test_empty_graph_header_fails_verify_and_series(tmp_path, capsys):
+    g = tmp_path / "zero.col"
+    g.write_text("p edge 0 0\n")
+    assert run("verify", str(g)) == 2
+    assert "[FAIL] graph file parses" in capsys.readouterr().out
+    assert run("series", str(g)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")

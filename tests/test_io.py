@@ -96,6 +96,13 @@ def test_garbage_line_rejected(tmp_path):
         read_graph(path)
 
 
+def test_empty_vertex_set_rejected(tmp_path):
+    path = tmp_path / "bad.col"
+    path.write_text("p edge 0 0\n")
+    with pytest.raises(GraphFormatError):
+        read_graph(path)
+
+
 def test_self_loop_rejected(tmp_path):
     path = tmp_path / "bad.col"
     path.write_text("p edge 3 1\ne 2 2\n")

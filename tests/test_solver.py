@@ -146,6 +146,16 @@ class TestBranchAndBound:
         assert res.status in ("exact", "upper_bound_certified")
         assert res.size <= 3
 
+    def test_deep_search_runs_out_of_budget_without_error(self):
+        # 600 disjoint 5-cycles: alpha = 1200, so the search goes 1200 levels
+        # deep, past the interpreter's default recursion limit
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(600) for i in range(5)]
+        g = make_graph(3000, edges)
+        res = max_independent_set(g, SolverBudget(max_nodes=5000))
+        assert res.status == "lower_bound"
+        assert res.size == 1200
+        assert is_independent(g, res.members)
+
     @given(graphs_strategy(max_n=11), st.integers(min_value=1, max_value=12))
     @settings(max_examples=40, deadline=None)
     def test_target_soundness(self, g, target):
