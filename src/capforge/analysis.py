@@ -7,10 +7,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .constructions import (
+    CERT_VERIFY_LIMIT,
     ConstructedGraph,
     JumpParams,
     MultiJumpSpec,
@@ -20,7 +21,6 @@ from .constructions import (
 from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
 from .solver import SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
-CERT_VERIFY_LIMIT = 200_000  # max certificate members to re-verify inline
 CERT_MATERIALIZE_LIMIT = 1_000_000  # above this, report the closed-form size only
 
 
@@ -147,12 +147,7 @@ class BoundsRecord:
     d_k: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "prefix_bound": self.prefix_bound,
-            "sandwich_low": self.sandwich_low,
-            "sandwich_high": self.sandwich_high,
-            "d_k": self.d_k,
-        }
+        return asdict(self)
 
 
 def _d_constant(nu: int, k: int) -> float:
@@ -248,16 +243,8 @@ class SeriesEntry:
     theory: BoundsRecord | None
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha_lower": self.alpha_lower,
-            "alpha_upper": self.alpha_upper,
-            "alpha_exact": self.alpha_exact,
-            "a_k_lower": self.a_k_lower,
-            "a_k_upper": self.a_k_upper,
-            "method": list(self.method),
-            "theory": self.theory.to_dict() if self.theory is not None else None,
-        }
+        """The fields in declaration order; ``theory`` becomes a dict (or None)."""
+        return {**asdict(self), "method": list(self.method)}
 
 
 @dataclass
@@ -277,39 +264,18 @@ class SeriesReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     def write_csv(self, path) -> None:
-        cols = [
-            "k",
-            "alpha_lower",
-            "alpha_upper",
-            "alpha_exact",
-            "a_k_lower",
-            "a_k_upper",
-            "method",
-            "prefix_bound",
-            "sandwich_low",
-            "sandwich_high",
-            "d_k",
-        ]
+        """One row per entry: the entry's fields with ``method`` joined by
+        ';' and ``theory`` flattened into its bounds."""
+        rows = []
+        for e in self.entries:
+            row = e.to_dict()
+            theory = row.pop("theory") or BoundsRecord().to_dict()
+            rows.append({**row, "method": ";".join(row["method"]), **theory})
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for e in self.entries:
-                theory = e.theory.to_dict() if e.theory is not None else {}
-                w.writerow(
-                    [
-                        e.k,
-                        e.alpha_lower,
-                        e.alpha_upper,
-                        e.alpha_exact,
-                        e.a_k_lower,
-                        e.a_k_upper,
-                        ";".join(e.method),
-                        theory.get("prefix_bound"),
-                        theory.get("sandwich_low"),
-                        theory.get("sandwich_high"),
-                        theory.get("d_k"),
-                    ]
-                )
+            if rows:
+                w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                w.writeheader()
+                w.writerows(rows)
 
 
 def _theory_for(cg: ConstructedGraph | None, k: int) -> BoundsRecord | None:

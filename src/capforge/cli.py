@@ -18,17 +18,14 @@ from pathlib import Path
 from . import analysis, constructions, io as gio
 from .constructions import (
     JumpParams,
+    _is_int,
     MultiJumpSpec,
-    equivalence_classes,
-    expected_class_count,
     explicit_power_set,
     multi_jump_product,
-    product_certificate,
     sample_jump_graph,
     sample_simple_jump_graph,
-    simple_explicit_set,
 )
-from .graphs import DEFAULT_CAP, complete_graph, is_independent, power_view
+from .graphs import DEFAULT_CAP, is_independent, power_view
 from .solver import SolverBudget, clique_cover_upper_bound, max_independent_set
 
 
@@ -78,7 +75,7 @@ def build_parser() -> _Parser:
     _add_common(s)
 
     j = sub.add_parser("jump-demo", help="one-jump demonstration: certified a_nu vs solved a_1")
-    j.add_argument("--nu", type=int, default=2)
+    j.add_argument("--nu", type=int, default=None, help="jump index (default 2)")
     j.add_argument("--n", type=int, default=None, help="rows; N = n * nu (required)")
     _add_common(j)
 
@@ -91,7 +88,7 @@ def build_parser() -> _Parser:
     _add_common(m)
 
     mc = sub.add_parser("mc-alpha", help="Monte Carlo sweep of exact alpha over seeds")
-    mc.add_argument("--nu", type=int, default=2)
+    mc.add_argument("--nu", type=int, default=None, help="jump index (default 2)")
     mc.add_argument("--n", type=int, default=None, help="rows; N = n * nu (required)")
     mc.add_argument("--trials", type=int, default=100)
     mc.add_argument("--p-budget", type=float, default=1e-3, help="union-bound budget defining the alpha threshold")
@@ -101,10 +98,6 @@ def build_parser() -> _Parser:
     v.add_argument("graph", type=str)
     _add_common(v)
     return p
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_int_list(value) -> bool:
@@ -148,11 +141,8 @@ def _usage_error(msg: str) -> int:
 
 
 def _pick(flag, cfg: dict, key: str, default=None):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+    """An explicit flag wins over the config, which wins over the default."""
+    return flag if flag is not None else cfg.get(key, default)
 
 
 def _resolve_cap(flag) -> int:
@@ -173,18 +163,27 @@ def _budget(args) -> SolverBudget | None:
     return SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
 
 
-def _resolve_n1(flag, cfg: dict, nus) -> int | None:
-    """Row count of the first product factor; configs may give N1 = n1 * nus[0]."""
-    if flag is not None:
-        return flag
-    if "n1" in cfg:
-        return cfg["n1"]
-    if "N1" in cfg:
-        total = cfg["N1"]
-        if not nus or total % nus[0]:
-            raise ValueError(f"config N1={total} is not a multiple of the first jump index")
-        return total // nus[0]
-    return None
+def _product(args, cfg: dict, cap: int, needs: str):
+    """Sample the multi-jump product that flags and config describe; configs
+    may give the first factor's size as N1 = n1 * nus[0]. Usage errors exit 1."""
+    nus = _pick(args.nus, cfg, "nus")
+    alpha = _pick(args.alpha, cfg, "alpha", 1.5)
+    n1 = _pick(args.n1, cfg, "n1")
+    if n1 is None and "N1" in cfg:
+        if not nus or cfg["N1"] % nus[0]:
+            raise SystemExit(_usage_error(f"config N1={cfg['N1']} is not a multiple of the first jump index"))
+        n1 = cfg["N1"] // nus[0]
+    if nus is None or n1 is None:
+        raise SystemExit(_usage_error(f"{needs} needs --nus and --n1"))
+    seeds = _pick(args.seeds, cfg, "seeds")
+    if seeds is None:
+        base = _pick(args.seed, cfg, "seed", 0)
+        seeds = [base + i for i in range(len(nus))]
+    try:
+        spec = MultiJumpSpec(nus=tuple(nus), n1=n1, alpha=alpha, seeds=tuple(seeds))
+        return multi_jump_product(spec, cap=cap)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from None
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -201,23 +200,8 @@ def cmd_construct(args) -> int:
     cap = _resolve_cap(args.cap)
     construction = _pick(None, cfg, "construction")
     if args.multi or construction == "product":
-        nus = _pick(args.nus, cfg, "nus")
-        alpha = _pick(args.alpha, cfg, "alpha", 1.5)
-        try:
-            n1 = _resolve_n1(args.n1, cfg, nus)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        if nus is None or n1 is None:
-            return _usage_error("--multi needs --nus and --n1")
-        seeds = _pick(args.seeds, cfg, "seeds")
-        if seeds is None:
-            base = _pick(args.seed, cfg, "seed", 0)
-            seeds = [base + i for i in range(len(nus))]
-        try:
-            spec = MultiJumpSpec(nus=tuple(nus), n1=n1, alpha=alpha, seeds=tuple(seeds))
-            cg = multi_jump_product(spec, cap=cap)
-        except ValueError as exc:
-            return _usage_error(str(exc))
+        cg = _product(args, cfg, cap, "--multi")
+        spec = cg.params
         resolved = {"construction": "product", "nus": list(spec.nus), "n1": spec.n1, "alpha": spec.alpha, "seeds": list(spec.seeds), "cap": cap}
     else:
         nu = _pick(args.nu, cfg, "nu")
@@ -245,11 +229,10 @@ def cmd_construct(args) -> int:
 
 
 def _load_constructed(path: str):
+    """The graph file, rebuilt as its construction when a sidecar is present."""
     g = gio.read_graph(path)
     meta = gio.read_metadata(path)
-    if meta is None:
-        return g, None
-    return constructions.from_metadata(g, meta), meta
+    return g if meta is None else constructions.from_metadata(g, meta)
 
 
 def cmd_series(args) -> int:
@@ -258,7 +241,7 @@ def cmd_series(args) -> int:
     if args.k_max < 1:
         return _usage_error("--k-max must be >= 1")
     try:
-        target, meta = _load_constructed(args.graph)
+        target = _load_constructed(args.graph)
     except (OSError, gio.GraphFormatError, ValueError, KeyError) as exc:
         return _usage_error(f"cannot load {args.graph}: {exc}")
     report = analysis.independence_series(target, args.k_max, mode=mode, budget=_budget(args), cap=cap)
@@ -352,23 +335,8 @@ def cmd_jump_demo(args) -> int:
 def cmd_multi_jump(args) -> int:
     cfg = _load_config(args.config)
     cap = _resolve_cap(args.cap)
-    nus = _pick(args.nus, cfg, "nus")
-    alpha = _pick(args.alpha, cfg, "alpha", 1.5)
-    try:
-        n1 = _resolve_n1(args.n1, cfg, nus)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    if nus is None or n1 is None:
-        return _usage_error("multi-jump needs --nus and --n1")
-    seeds = _pick(args.seeds, cfg, "seeds")
-    if seeds is None:
-        base = _pick(args.seed, cfg, "seed", 0)
-        seeds = [base + i for i in range(len(nus))]
-    try:
-        spec = MultiJumpSpec(nus=tuple(nus), n1=n1, alpha=alpha, seeds=tuple(seeds))
-        cg = multi_jump_product(spec, cap=cap)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    cg = _product(args, cfg, cap, "multi-jump")
+    spec = cg.params
     k_max = args.k_max if args.k_max is not None else spec.nus[-1]
     if k_max < 1:
         return _usage_error("--k-max must be >= 1")
@@ -449,117 +417,18 @@ def cmd_mc_alpha(args) -> int:
 
 
 def _verify_checks(path: str):
-    checks = []
-
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append((name, ok, detail))
-
     try:
         g = gio.read_graph(path)
     except (OSError, gio.GraphFormatError) as exc:
-        check("graph file parses", False, str(exc))
-        return checks
-    check("graph file parses", True)
+        return [("graph file parses", False, str(exc))]
+    checks = [("graph file parses", True, "")]
     try:
         meta = gio.read_metadata(path)
     except gio.GraphFormatError as exc:
-        check("metadata parses", False, str(exc))
-        return checks
+        return checks + [("metadata parses", False, str(exc))]
     if meta is None:
-        check("metadata sidecar present", False, f"missing {gio.meta_path(path)}")
-        return checks
-    check("metadata parses", True)
-    try:
-        cg = constructions.from_metadata(g, meta)
-    except (ValueError, KeyError) as exc:
-        check("metadata consistent", False, str(exc))
-        return checks
-    check("N matches header", meta.get("N") == g.n, f"meta {meta.get('N')} vs file {g.n}")
-
-    if cg.kind in ("canonical", "simple"):
-        params = cg.params
-        removed = [tuple(e) for e in cg.removed_edges]
-        expected = complete_graph(g.n)
-        ok_range = all(0 <= u < g.n and 0 <= v < g.n and u != v for u, v in removed)
-        check("removed edges in range", ok_range)
-        if ok_range:
-            for u, v in removed:
-                expected.adj[u] &= ~(1 << v)
-                expected.adj[v] &= ~(1 << u)
-            check("graph = K_N minus removed edges", expected == g)
-        if cg.kind == "canonical":
-            classes = equivalence_classes(params.nu, params.n)
-            check(
-                "class count matches closed form",
-                len(classes) == expected_class_count(params.nu, params.n),
-                f"{len(classes)} classes",
-            )
-            idx = analysis.class_index(classes)
-            hits: dict[int, int] = {}
-            for e in removed:
-                if e in idx:
-                    hits[idx[e]] = hits.get(idx[e], 0) + 1
-                else:
-                    check("removed edges are valid pairs", False, f"{e} not a vertex pair")
-            multi = [classes[i].representative for i, c in hits.items() if c > 1]
-            missing = len(classes) - len(hits)
-            check(
-                "one removed edge per class",
-                not multi and missing == 0,
-                f"classes hit twice: {multi}; classes missed: {missing}",
-            )
-            resample = sample_jump_graph(params)
-            check("seed reproduces removed edges", resample.removed_edges == removed)
-            cert = explicit_power_set(params, params.nu)
-            check(
-                "certificate independent in power view",
-                len(cert) == params.N and is_independent(power_view(g, params.nu), cert),
-                f"size {len(cert)}",
-            )
-        else:
-            n, nu = params.n, params.nu
-            check("one removed edge per row pair", len(removed) == n * (n - 1) // 2)
-            same_col = all(u % nu == v % nu and u // nu != v // nu for u, v in removed)
-            check("removed edges join equal columns of distinct rows", same_col)
-            row_pairs = {(min(u // nu, v // nu), max(u // nu, v // nu)) for u, v in removed}
-            check("row pairs all distinct", len(row_pairs) == len(removed))
-            resample = sample_simple_jump_graph(params)
-            check("seed reproduces removed edges", resample.removed_edges == removed)
-            cert = simple_explicit_set(params, cg)
-            check(
-                "certificate independent in power view",
-                len(cert) == n and is_independent(power_view(g, nu), cert),
-                f"size {len(cert)}",
-            )
-    elif cg.kind == "product":
-        spec = cg.params
-        sizes = spec.sizes()
-        check("factor sizes match sizing rule", meta.get("sizes") == sizes, f"{meta.get('sizes')} vs {sizes}")
-        from .graphs import strong_product
-
-        prod = cg.factors[0].graph
-        for f in cg.factors[1:]:
-            prod = strong_product(prod, f.graph, cap=max(DEFAULT_CAP, g.n))
-        check("graph equals product of factors", prod == g)
-        for f, p in zip(cg.factors, spec.factor_params()):
-            resample = sample_jump_graph(p)
-            check(
-                f"factor nu={p.nu} seed reproduces removed edges",
-                resample.removed_edges == [tuple(e) for e in f.removed_edges],
-            )
-        for nu_i in spec.nus:
-            cert = product_certificate(cg, nu_i)
-            if len(cert) > analysis.CERT_VERIFY_LIMIT:
-                check(f"certificate at k={nu_i} independent", True, "skipped (too large)")
-                continue
-            check(
-                f"certificate at k={nu_i} independent",
-                is_independent(power_view(g, nu_i), cert),
-                f"size {len(cert)}",
-            )
-    else:
-        check("known construction kind", False, cg.kind)
-    return checks
+        return checks + [("metadata sidecar present", False, f"missing {gio.meta_path(path)}")]
+    return checks + [("metadata parses", True, "")] + constructions.verify_construction(g, meta)
 
 
 def cmd_verify(args) -> int:

@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import DEFAULT_CAP, Graph, complete_graph, strong_product
+from .graphs import DEFAULT_CAP, Graph, complete_graph, is_independent, power_view, strong_product
+
+CERT_VERIFY_LIMIT = 200_000  # max certificate members to re-verify inline
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,34 @@ def shift_orbit(x: int, y: int, nu: int, n: int) -> list[tuple[int, int]]:
     return seen
 
 
+def orbit_representatives(nu: int, n: int):
+    """Representatives (least members) of the shift orbits, in ascending order.
+
+    The least member of an orbit starts at the smaller residue mod n. When
+    both ends share a residue, the pairs j and nu - j steps of n apart are one
+    orbit, so only j <= nu/2 is kept.
+    """
+    for x in range(n):
+        for q in range(nu):
+            if 0 < q <= nu // 2:
+                yield x, q * n + x
+            for y in range(q * n + x + 1, (q + 1) * n):
+                yield x, y
+
+
+def orbit_representative(u: int, v: int, nu: int, n: int) -> tuple[int, int]:
+    """Representative of the shift orbit of the pair {u, v} (u != v)."""
+    N = n * nu
+    if u % n > v % n:
+        u, v = v, u
+    x = u % n
+    y = (v - u + x) % N
+    if y % n == x:
+        j = (y - x) // n
+        y = x + min(j, nu - j) * n
+    return x, y
+
+
 def equivalence_classes(nu: int, n: int) -> list[EdgeClass]:
     """Partition all unordered pairs of distinct vertices into shift orbits,
     ordered by ascending representative (the lexicographically smallest member).
@@ -86,19 +117,7 @@ def equivalence_classes(nu: int, n: int) -> list[EdgeClass]:
     """
     if nu < 2 or n < 2:
         raise ValueError(f"need nu >= 2 and n >= 2, got nu={nu}, n={n}")
-    N = n * nu
-    assigned = set()
-    classes = []
-    for x in range(N):
-        for y in range(x + 1, N):
-            if (x, y) in assigned:
-                continue
-            members = shift_orbit(x, y, nu, n)
-            rep = min(members)
-            assigned.update(members)
-            classes.append(EdgeClass(representative=rep, members=members))
-    classes.sort(key=lambda c: c.representative)
-    return classes
+    return [EdgeClass(rep, shift_orbit(*rep, nu, n)) for rep in orbit_representatives(nu, n)]
 
 
 def expected_class_count(nu: int, n: int) -> int:
@@ -199,19 +218,32 @@ class ConstructedGraph:
         }
 
 
+def complete_minus(N: int, removed) -> Graph:
+    """The complete graph on N vertices minus the given vertex pairs."""
+    g = complete_graph(N)
+    for u, v in removed:
+        if not (0 <= u < N and 0 <= v < N):
+            raise ValueError(f"removed edge {(u, v)} out of range for N={N}")
+        g.adj[u] &= ~(1 << v)
+        g.adj[v] &= ~(1 << u)
+    return g
+
+
 def sample_jump_graph(params: JumpParams) -> ConstructedGraph:
     """Complete graph minus one uniformly chosen edge per shift orbit.
 
     Orbits are processed in ascending representative order and each consumes
-    exactly one PRNG draw, so the seed pins down the graph.
+    exactly one PRNG draw, which picks the orbit member t shifts of n from
+    the representative, so the seed pins down the graph.
     """
-    classes = equivalence_classes(params.nu, params.n)
+    nu, n, N = params.nu, params.n, params.N
     rng = random.Random(params.seed)
-    removed = [cls.members[rng.randrange(cls.size)] for cls in classes]
-    g = complete_graph(params.N)
-    for u, v in removed:
-        g.adj[u] &= ~(1 << v)
-        g.adj[v] &= ~(1 << u)
+    removed = []
+    for x, y in orbit_representatives(nu, n):
+        # for even nu the pairs N/2 apart close after nu/2 shifts
+        t = rng.randrange(nu // 2 if nu % 2 == 0 and 2 * (y - x) == N else nu)
+        removed.append(_norm_pair((x + t * n) % N, (y + t * n) % N))
+    g = complete_minus(N, removed)
     return ConstructedGraph(graph=g, kind="canonical", params=params, removed_edges=removed)
 
 
@@ -231,14 +263,11 @@ def explicit_power_set(params: JumpParams, k: int) -> set[tuple[int, ...]]:
         return set()
     blocks, pad = divmod(k, nu)
     base = [tuple((x + t * n) % N for t in range(nu)) for x in range(N)]
-    out = set()
     stack = [()]
     for _ in range(blocks):
         stack = [acc + b for acc in stack for b in base]
     padding = (0,) * pad
-    for acc in stack:
-        out.add(acc + padding)
-    return out
+    return {acc + padding for acc in stack}
 
 
 def explicit_power_set_size(params: JumpParams, k: int) -> int:
@@ -259,10 +288,7 @@ def sample_simple_jump_graph(params: JumpParams) -> ConstructedGraph:
         for j in range(i + 1, n):
             col = rng.randrange(nu)
             removed.append(_norm_pair(i * nu + col, j * nu + col))
-    g = complete_graph(params.N)
-    for u, v in removed:
-        g.adj[u] &= ~(1 << v)
-        g.adj[v] &= ~(1 << u)
+    g = complete_minus(params.N, removed)
     return ConstructedGraph(graph=g, kind="simple", params=params, removed_edges=removed)
 
 
@@ -347,12 +373,30 @@ def certificate_size_for(cg: ConstructedGraph, k: int) -> int:
     raise ValueError(f"unknown construction kind {cg.kind!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _jump_fields(meta: dict) -> tuple[JumpParams, list[tuple[int, int]]]:
+    """Parameters and removed edges of a canonical or simple sidecar, type-checked."""
+    for key in ("nu", "n", "seed"):
+        if not _is_int(meta[key]):
+            raise ValueError(f"metadata {key!r} must be an integer, got {meta[key]!r}")
+    removed = meta["removed_edges"]
+    if not isinstance(removed, list) or not all(
+        isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1]) for e in removed
+    ):
+        raise ValueError("metadata 'removed_edges' must be a list of integer pairs")
+    params = JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"])
+    return params, [tuple(e) for e in removed]
+
+
 def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
-    """Rebuild a ConstructedGraph from a deserialized graph and its sidecar."""
+    """Rebuild a ConstructedGraph from a deserialized graph and its sidecar.
+    Raises ValueError or KeyError on a sidecar that does not describe one."""
     kind = meta.get("construction")
     if kind in ("canonical", "simple"):
-        params = JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"])
-        removed = [tuple(e) for e in meta["removed_edges"]]
+        params, removed = _jump_fields(meta)
         return ConstructedGraph(graph=graph, kind=kind, params=params, removed_edges=removed)
     if kind == "product":
         spec = MultiJumpSpec(
@@ -363,12 +407,84 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
         )
         factors = []
         for fmeta in meta["factors"]:
-            fg = complete_graph(fmeta["N"])
-            for u, v in fmeta["removed_edges"]:
-                fg.adj[u] &= ~(1 << v)
-                fg.adj[v] &= ~(1 << u)
-            factors.append(from_metadata(fg, fmeta))
+            params, removed = _jump_fields(fmeta)
+            if fmeta.get("N") != params.N:
+                raise ValueError(f"factor N={fmeta.get('N')!r} is not n * nu = {params.N}")
+            factors.append(from_metadata(complete_minus(params.N, removed), fmeta))
         return ConstructedGraph(
             graph=graph, kind="product", params=spec, removed_edges=[], factors=factors
         )
     raise ValueError(f"unknown construction kind {kind!r}")
+
+
+def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
+    """Re-check a graph against its construction sidecar: (name, ok, detail)
+    per check, in a fixed order. Canonical and simple graphs share every
+    check but their structural ones; products are checked factor by factor."""
+    checks = []
+
+    def check(name: str, ok: bool, detail: str = ""):
+        checks.append((name, ok, detail))
+
+    try:
+        cg = from_metadata(g, meta)
+    except (ValueError, KeyError) as exc:
+        check("metadata consistent", False, str(exc))
+        return checks
+    check("N matches header", meta.get("N") == g.n, f"meta {meta.get('N')} vs file {g.n}")
+    if cg.kind == "product":
+        spec = cg.params
+        sizes = spec.sizes()
+        check("factor sizes match sizing rule", meta.get("sizes") == sizes, f"{meta.get('sizes')} vs {sizes}")
+        prod = cg.factors[0].graph
+        for f in cg.factors[1:]:
+            prod = strong_product(prod, f.graph, cap=max(DEFAULT_CAP, g.n))
+        check("graph equals product of factors", prod == g)
+        for f, p in zip(cg.factors, spec.factor_params()):
+            check(f"factor nu={p.nu} seed reproduces removed edges", sample_jump_graph(p).removed_edges == f.removed_edges)
+        for nu_i in spec.nus:
+            name = f"certificate at k={nu_i} independent"
+            if certificate_size_for(cg, nu_i) > CERT_VERIFY_LIMIT:
+                check(name, True, "skipped (too large)")
+                continue
+            cert = certificate_for(cg, nu_i)
+            check(name, is_independent(power_view(g, nu_i), cert), f"size {len(cert)}")
+        return checks
+
+    nu, n, N = cg.params.nu, cg.params.n, g.n
+    removed = cg.removed_edges
+    ok_range = all(0 <= u < N and 0 <= v < N and u != v for u, v in removed)
+    check("removed edges in range", ok_range)
+    if ok_range:
+        check("graph = K_N minus removed edges", complete_minus(N, removed) == g)
+    if cg.kind == "canonical":
+        reps = list(orbit_representatives(nu, n))
+        check("class count matches closed form", len(reps) == expected_class_count(nu, n), f"{len(reps)} classes")
+        hits: Counter = Counter()
+        for u, v in removed:
+            if 0 <= u < v < nu * n:
+                hits[orbit_representative(u, v, nu, n)] += 1
+            else:
+                check("removed edges are valid pairs", False, f"{(u, v)} not a vertex pair")
+        multi = [rep for rep, c in hits.items() if c > 1]
+        check(
+            "one removed edge per class",
+            sorted(hits.elements()) == reps,
+            f"classes hit twice: {multi}; classes missed: {len(reps) - len(hits)}",
+        )
+        resample = sample_jump_graph(cg.params)
+    else:
+        check("one removed edge per row pair", len(removed) == n * (n - 1) // 2)
+        same_col = all(u % nu == v % nu and u // nu != v // nu for u, v in removed)
+        check("removed edges join equal columns of distinct rows", same_col)
+        row_pairs = {(min(u // nu, v // nu), max(u // nu, v // nu)) for u, v in removed}
+        check("row pairs all distinct", len(row_pairs) == len(removed))
+        resample = sample_simple_jump_graph(cg.params)
+    check("seed reproduces removed edges", resample.removed_edges == removed)
+    cert = certificate_for(cg, nu)
+    check(
+        "certificate independent in power view",
+        len(cert) == certificate_size_for(cg, nu) and is_independent(power_view(g, nu), cert),
+        f"size {len(cert)}",
+    )
+    return checks

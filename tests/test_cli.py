@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from capforge.cli import main
 from capforge.io import meta_path
 
@@ -282,3 +284,33 @@ def test_empty_graph_header_fails_verify_and_series(tmp_path, capsys):
     assert "[FAIL] graph file parses" in capsys.readouterr().out
     assert run("series", str(g)) == 1
     assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("removed_edges", [["a", 1]]), ("removed_edges", [[0, 1, 2]]), ("nu", "2")],
+)
+def test_malformed_sidecar_fails_verify_and_series(tmp_path, capsys, key, value):
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0
+    mp = meta_path(g)
+    meta = json.loads(mp.read_text())
+    meta[key] = value
+    mp.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] metadata consistent" in captured.out and "Traceback" not in captured.err
+    assert run("series", str(g)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
+
+
+def test_config_nu_reaches_jump_demo_and_mc_alpha(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 3, "n": 4}))
+    capsys.readouterr()
+    assert run("jump-demo", "--config", str(cfg)) == 0
+    assert capsys.readouterr().out.startswith("N=12 nu=3 ")
+    out = tmp_path / "mc.json"
+    assert run("mc-alpha", "--config", str(cfg), "--trials", "2", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["nu"] == 3

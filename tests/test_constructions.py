@@ -20,7 +20,7 @@ from capforge import (
     sample_simple_jump_graph,
     simple_explicit_set,
 )
-from capforge.constructions import shift_orbit
+from capforge.constructions import orbit_representative, shift_orbit
 
 params_strategy = st.builds(
     JumpParams,
@@ -91,6 +91,7 @@ class TestEquivalenceClasses:
             for x, y in c.members:
                 nx, ny = (x + p.n) % p.N, (y + p.n) % p.N
                 assert ((nx, ny) if nx < ny else (ny, nx)) in member_set
+                assert orbit_representative(x, y, p.nu, p.n) == c.representative
 
     def test_orbit_helper_matches(self):
         assert shift_orbit(0, 2, 2, 2) == [(0, 2)]
