@@ -223,7 +223,7 @@ def cmd_construct(args) -> int:
     gio.write_graph(cg.graph, args.out, metadata=meta)
     print(
         f"wrote {args.out}: {cg.kind} graph, N={cg.graph.n}, "
-        f"edges={cg.graph.edge_count()}, removed={len(cg.removed_edges)}"
+        f"edges={cg.graph.edge_count()}, removed={len(cg.removed)}"
     )
     return 0
 

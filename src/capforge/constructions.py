@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
-from .graphs import DEFAULT_CAP, Graph, complete_graph, is_independent, power_view, strong_product
+import numpy as np
+
+from .graphs import DEFAULT_CAP, Graph, bitset_rows, edge_pairs, is_independent, power_view, strong_product
 
 CERT_VERIFY_LIMIT = 200_000  # max certificate members to re-verify inline
 
@@ -79,31 +81,44 @@ def shift_orbit(x: int, y: int, nu: int, n: int) -> list[tuple[int, int]]:
     return seen
 
 
-def orbit_representatives(nu: int, n: int):
-    """Representatives (least members) of the shift orbits, in ascending order.
+def orbit_representatives(nu: int, n: int) -> np.ndarray:
+    """Representatives (least members) of the shift orbits, in ascending
+    order, as an (R, 2) int64 array.
 
-    The least member of an orbit starts at the smaller residue mod n. When
-    both ends share a residue, the pairs j and nu - j steps of n apart are one
-    orbit, so only j <= nu/2 is kept.
+    The least member of an orbit starts at the smaller residue mod n: for each
+    residue x and each q < nu, the pairs (x, y) with q*n + x < y < (q+1)*n.
+    When both ends share a residue, the pairs j and nu - j steps of n apart
+    are one orbit, so (x, q*n + x) is kept only for 0 < q <= nu/2.
     """
-    for x in range(n):
-        for q in range(nu):
-            if 0 < q <= nu // 2:
-                yield x, q * n + x
-            for y in range(q * n + x + 1, (q + 1) * n):
-                yield x, y
+    x = np.repeat(np.arange(n, dtype=np.int64), nu)
+    q = np.tile(np.arange(nu, dtype=np.int64), n)
+    same = (q > 0) & (q <= nu // 2)
+    sizes = n - 1 - x + same  # pairs per (x, q)
+    reps = np.empty((sizes.sum(), 2), np.int64)
+    reps[:, 0] = np.repeat(x, sizes)
+    y = reps[:, 1]
+    y[:] = np.arange(len(reps))
+    y -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    y += np.repeat(q * n + x + 1 - same, sizes)
+    return reps
+
+
+def _representatives_of(pairs: np.ndarray, nu: int, n: int) -> np.ndarray:
+    """Orbit representatives of an (M, 2) array of distinct-vertex pairs."""
+    N = n * nu
+    u, v = pairs[:, 0], pairs[:, 1]
+    swap = u % n > v % n
+    u, v = np.where(swap, v, u), np.where(swap, u, v)
+    x = u % n
+    y = (v - u + x) % N
+    j = (y - x) // n
+    y = np.where(y % n == x, x + np.minimum(j, nu - j) * n, y)
+    return np.stack((x, y), axis=1)
 
 
 def orbit_representative(u: int, v: int, nu: int, n: int) -> tuple[int, int]:
     """Representative of the shift orbit of the pair {u, v} (u != v)."""
-    N = n * nu
-    if u % n > v % n:
-        u, v = v, u
-    x = u % n
-    y = (v - u + x) % N
-    if y % n == x:
-        j = (y - x) // n
-        y = x + min(j, nu - j) * n
+    x, y = _representatives_of(np.array([[u, v]], dtype=np.int64), nu, n)[0].tolist()
     return x, y
 
 
@@ -117,7 +132,7 @@ def equivalence_classes(nu: int, n: int) -> list[EdgeClass]:
     """
     if nu < 2 or n < 2:
         raise ValueError(f"need nu >= 2 and n >= 2, got nu={nu}, n={n}")
-    return [EdgeClass(rep, shift_orbit(*rep, nu, n)) for rep in orbit_representatives(nu, n)]
+    return [EdgeClass((x, y), shift_orbit(x, y, nu, n)) for x, y in orbit_representatives(nu, n).tolist()]
 
 
 def expected_class_count(nu: int, n: int) -> int:
@@ -183,15 +198,27 @@ class MultiJumpSpec:
         return params
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstructedGraph:
     """A sampled graph plus everything needed to audit and reproduce it."""
 
     graph: Graph
     kind: str  # canonical | simple | product
     params: JumpParams | MultiJumpSpec
-    removed_edges: list[tuple[int, int]]
+    removed: np.ndarray  # (M, 2) int64 array of the deleted pairs; empty for a product
     factors: list["ConstructedGraph"] = field(default_factory=list)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ConstructedGraph)
+            and (self.graph, self.kind, self.params, self.factors) == (other.graph, other.kind, other.params, other.factors)
+            and np.array_equal(self.removed, other.removed)
+        )
+
+    @property
+    def removed_edges(self) -> list[tuple[int, int]]:
+        """The deleted pairs as a list of tuples, built on each access."""
+        return list(zip(*self.removed.T.tolist()))
 
     def metadata(self) -> dict:
         if self.kind == "product":
@@ -214,19 +241,33 @@ class ConstructedGraph:
             "n": self.params.n,
             "N": self.graph.n,
             "seed": self.params.seed,
-            "removed_edges": [list(e) for e in self.removed_edges],
+            "removed_edges": self.removed.tolist(),
         }
 
 
 def complete_minus(N: int, removed) -> Graph:
     """The complete graph on N vertices minus the given vertex pairs."""
-    g = complete_graph(N)
-    for u, v in removed:
-        if not (0 <= u < N and 0 <= v < N):
-            raise ValueError(f"removed edge {(u, v)} out of range for N={N}")
-        g.adj[u] &= ~(1 << v)
-        g.adj[v] &= ~(1 << u)
-    return g
+    if N < 1:
+        raise ValueError("n must be positive")
+    pairs = edge_pairs(removed)
+    bad = ((pairs < 0) | (pairs >= N)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"removed edge {tuple(pairs[bad.argmax()].tolist())} out of range for N={N}")
+    return Graph(N, bitset_rows(N, pairs, complement=True))
+
+
+def _canonical_removed(params: JumpParams) -> np.ndarray:
+    """The edges sample_jump_graph removes, as an (M, 2) array."""
+    nu, n, N = params.nu, params.n, params.N
+    pairs = orbit_representatives(nu, n)
+    # for even nu the pairs N/2 apart close after nu/2 shifts
+    sizes = np.where((nu % 2 == 0) & (2 * (pairs[:, 1] - pairs[:, 0]) == N), nu // 2, nu).tolist()
+    t = np.fromiter(map(random.Random(params.seed).randrange, sizes), np.int64, len(sizes))
+    del sizes
+    pairs += (t * n)[:, None]
+    pairs %= N
+    pairs.sort(axis=1)
+    return pairs
 
 
 def sample_jump_graph(params: JumpParams) -> ConstructedGraph:
@@ -236,15 +277,8 @@ def sample_jump_graph(params: JumpParams) -> ConstructedGraph:
     exactly one PRNG draw, which picks the orbit member t shifts of n from
     the representative, so the seed pins down the graph.
     """
-    nu, n, N = params.nu, params.n, params.N
-    rng = random.Random(params.seed)
-    removed = []
-    for x, y in orbit_representatives(nu, n):
-        # for even nu the pairs N/2 apart close after nu/2 shifts
-        t = rng.randrange(nu // 2 if nu % 2 == 0 and 2 * (y - x) == N else nu)
-        removed.append(_norm_pair((x + t * n) % N, (y + t * n) % N))
-    g = complete_minus(N, removed)
-    return ConstructedGraph(graph=g, kind="canonical", params=params, removed_edges=removed)
+    removed = _canonical_removed(params)
+    return ConstructedGraph(graph=complete_minus(params.N, removed), kind="canonical", params=params, removed=removed)
 
 
 def explicit_power_set(params: JumpParams, k: int) -> set[tuple[int, ...]]:
@@ -277,19 +311,20 @@ def explicit_power_set_size(params: JumpParams, k: int) -> int:
     return params.N ** (k // params.nu)
 
 
+def _simple_removed(params: JumpParams) -> np.ndarray:
+    """The edges sample_simple_jump_graph removes, as an (M, 2) array."""
+    nu, n = params.nu, params.n
+    i, j = np.triu_indices(n, k=1)
+    col = np.fromiter(map(random.Random(params.seed).randrange, repeat(nu, len(i))), np.int64, len(i))
+    return np.stack((i * nu + col, j * nu + col), axis=1)
+
+
 def sample_simple_jump_graph(params: JumpParams) -> ConstructedGraph:
     """Row/column variant: vertices in n rows of length nu (vertex = row*nu +
     col); for each row pair delete the edge in one uniformly chosen column.
     Leaves C(N,2) - C(n,2) edges."""
-    nu, n = params.nu, params.n
-    rng = random.Random(params.seed)
-    removed = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            col = rng.randrange(nu)
-            removed.append(_norm_pair(i * nu + col, j * nu + col))
-    g = complete_minus(params.N, removed)
-    return ConstructedGraph(graph=g, kind="simple", params=params, removed_edges=removed)
+    removed = _simple_removed(params)
+    return ConstructedGraph(graph=complete_minus(params.N, removed), kind="simple", params=params, removed=removed)
 
 
 def simple_explicit_set(params: JumpParams, g: ConstructedGraph) -> set[tuple[int, ...]]:
@@ -315,7 +350,7 @@ def multi_jump_product(spec: MultiJumpSpec, cap: int = DEFAULT_CAP) -> Construct
     for f in factors[1:]:
         g = strong_product(g, f.graph, cap=cap)
     return ConstructedGraph(
-        graph=g, kind="product", params=spec, removed_edges=[], factors=factors
+        graph=g, kind="product", params=spec, removed=np.empty((0, 2), np.int64), factors=factors
     )
 
 
@@ -377,18 +412,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _jump_fields(meta: dict) -> tuple[JumpParams, list[tuple[int, int]]]:
+def _pair_array(removed: list[list[int]]) -> np.ndarray:
+    """A sidecar's integer pairs as an (M, 2) int64 array."""
+    try:
+        return np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError("metadata 'removed_edges' holds an integer beyond 64 bits") from None
+
+
+def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:
     """Parameters and removed edges of a canonical or simple sidecar, type-checked."""
     for key in ("nu", "n", "seed"):
         if not _is_int(meta[key]):
             raise ValueError(f"metadata {key!r} must be an integer, got {meta[key]!r}")
     removed = meta["removed_edges"]
-    if not isinstance(removed, list) or not all(
-        isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1]) for e in removed
+    if not (
+        isinstance(removed, list)
+        and set(map(type, removed)) <= {list}
+        and set(map(len, removed)) <= {2}
+        and set(map(type, chain.from_iterable(removed))) <= {int}
     ):
         raise ValueError("metadata 'removed_edges' must be a list of integer pairs")
     params = JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"])
-    return params, [tuple(e) for e in removed]
+    return params, _pair_array(removed)
+
+
+def _product_spec(meta: dict) -> MultiJumpSpec:
+    """The spec of a product sidecar, type-checked; its factors must be one
+    object per jump index."""
+    for key in ("nu_list", "seeds"):
+        if not (isinstance(meta[key], list) and all(map(_is_int, meta[key]))):
+            raise ValueError(f"metadata {key!r} must be a list of integers, got {meta[key]!r}")
+    if not _is_int(meta["n"]):
+        raise ValueError(f"metadata 'n' must be an integer, got {meta['n']!r}")
+    alpha = meta["alpha"]
+    if not ((_is_int(alpha) or isinstance(alpha, float)) and math.isfinite(alpha)):
+        raise ValueError(f"metadata 'alpha' must be a finite number, got {alpha!r}")
+    spec = MultiJumpSpec(nus=tuple(meta["nu_list"]), n1=meta["n"], alpha=alpha, seeds=tuple(meta["seeds"]))
+    factors = meta["factors"]
+    if not (isinstance(factors, list) and len(factors) == len(spec.nus) and all(isinstance(f, dict) for f in factors)):
+        raise ValueError(f"metadata 'factors' must be a list of {len(spec.nus)} objects, one per jump index")
+    return spec
 
 
 def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
@@ -397,14 +461,9 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
     kind = meta.get("construction")
     if kind in ("canonical", "simple"):
         params, removed = _jump_fields(meta)
-        return ConstructedGraph(graph=graph, kind=kind, params=params, removed_edges=removed)
+        return ConstructedGraph(graph=graph, kind=kind, params=params, removed=removed)
     if kind == "product":
-        spec = MultiJumpSpec(
-            nus=tuple(meta["nu_list"]),
-            n1=meta["n"],
-            alpha=meta["alpha"],
-            seeds=tuple(meta["seeds"]),
-        )
+        spec = _product_spec(meta)
         factors = []
         for fmeta in meta["factors"]:
             params, removed = _jump_fields(fmeta)
@@ -412,7 +471,7 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
                 raise ValueError(f"factor N={fmeta.get('N')!r} is not n * nu = {params.N}")
             factors.append(from_metadata(complete_minus(params.N, removed), fmeta))
         return ConstructedGraph(
-            graph=graph, kind="product", params=spec, removed_edges=[], factors=factors
+            graph=graph, kind="product", params=spec, removed=np.empty((0, 2), np.int64), factors=factors
         )
     raise ValueError(f"unknown construction kind {kind!r}")
 
@@ -424,7 +483,7 @@ def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
     checks = []
 
     def check(name: str, ok: bool, detail: str = ""):
-        checks.append((name, ok, detail))
+        checks.append((name, bool(ok), detail))
 
     try:
         cg = from_metadata(g, meta)
@@ -441,7 +500,8 @@ def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
             prod = strong_product(prod, f.graph, cap=max(DEFAULT_CAP, g.n))
         check("graph equals product of factors", prod == g)
         for f, p in zip(cg.factors, spec.factor_params()):
-            check(f"factor nu={p.nu} seed reproduces removed edges", sample_jump_graph(p).removed_edges == f.removed_edges)
+            same = f.params == p and np.array_equal(_canonical_removed(p), f.removed)
+            check(f"factor nu={p.nu} seed reproduces removed edges", same)
         for nu_i in spec.nus:
             name = f"certificate at k={nu_i} independent"
             if certificate_size_for(cg, nu_i) > CERT_VERIFY_LIMIT:
@@ -452,35 +512,36 @@ def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
         return checks
 
     nu, n, N = cg.params.nu, cg.params.n, g.n
-    removed = cg.removed_edges
-    ok_range = all(0 <= u < N and 0 <= v < N and u != v for u, v in removed)
+    removed = cg.removed
+    u, v = removed[:, 0], removed[:, 1]
+    ok_range = ((removed >= 0) & (removed < N)).all() and (u != v).all()
     check("removed edges in range", ok_range)
     if ok_range:
         check("graph = K_N minus removed edges", complete_minus(N, removed) == g)
     if cg.kind == "canonical":
-        reps = list(orbit_representatives(nu, n))
+        reps = orbit_representatives(nu, n)
         check("class count matches closed form", len(reps) == expected_class_count(nu, n), f"{len(reps)} classes")
-        hits: Counter = Counter()
-        for u, v in removed:
-            if 0 <= u < v < nu * n:
-                hits[orbit_representative(u, v, nu, n)] += 1
-            else:
-                check("removed edges are valid pairs", False, f"{(u, v)} not a vertex pair")
-        multi = [rep for rep, c in hits.items() if c > 1]
+        valid = (0 <= u) & (u < v) & (v < nu * n)
+        for pair in removed[~valid].tolist():
+            check("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair")
+        hits = _representatives_of(removed[valid], nu, n)
+        codes = hits[:, 0] * (nu * n) + hits[:, 1]
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        multi = [tuple(rep) for rep in hits[np.sort(first[counts > 1])].tolist()]
         check(
             "one removed edge per class",
-            sorted(hits.elements()) == reps,
-            f"classes hit twice: {multi}; classes missed: {len(reps) - len(hits)}",
+            np.array_equal(np.sort(codes), reps[:, 0] * (nu * n) + reps[:, 1]),
+            f"classes hit twice: {multi}; classes missed: {len(reps) - len(first)}",
         )
-        resample = sample_jump_graph(cg.params)
+        resample = _canonical_removed(cg.params)
     else:
         check("one removed edge per row pair", len(removed) == n * (n - 1) // 2)
-        same_col = all(u % nu == v % nu and u // nu != v // nu for u, v in removed)
-        check("removed edges join equal columns of distinct rows", same_col)
-        row_pairs = {(min(u // nu, v // nu), max(u // nu, v // nu)) for u, v in removed}
+        rows = removed // nu
+        check("removed edges join equal columns of distinct rows", ((u % nu == v % nu) & (rows[:, 0] != rows[:, 1])).all())
+        row_pairs = np.unique(np.sort(rows, axis=1), axis=0)
         check("row pairs all distinct", len(row_pairs) == len(removed))
-        resample = sample_simple_jump_graph(cg.params)
-    check("seed reproduces removed edges", resample.removed_edges == removed)
+        resample = _simple_removed(cg.params)
+    check("seed reproduces removed edges", np.array_equal(resample, removed))
     cert = certificate_for(cg, nu)
     check(
         "certificate independent in power view",

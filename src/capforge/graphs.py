@@ -2,14 +2,20 @@
 
 Adjacency is one Python int per vertex (bit j of ``adj[u]`` set iff u~j),
 which gives the solver constant-time row intersection and keeps a
-20,000-vertex graph around 50 MB.
+20,000-vertex graph around 50 MB. Bulk conversions between edge arrays and
+rows go through numpy as packed little-endian uint8 rows (n x ceil(n/8)
+bytes), unpacked to a byte per bit only a block of rows at a time; no dense
+n x n array is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 DEFAULT_CAP = 20_000
+_BLOCK_BITS = 1 << 22  # unpacked bits per block of rows
 
 
 class CapExceeded(ValueError):
@@ -36,12 +42,16 @@ class Graph:
 
     def edges(self):
         """Yield edges (u, v) with u < v, ascending."""
-        for u in range(self.n):
-            row = self.adj[u] & ~((1 << (u + 1)) - 1)
-            while row:
-                low = row & -row
-                row ^= low
-                yield (u, low.bit_length() - 1)
+        return map(tuple, self.edge_array().tolist())
+
+    def edge_array(self) -> np.ndarray:
+        """Edges (u, v) with u < v, ascending, as an (M, 2) int64 array."""
+        parts = [np.empty((0, 2), np.int64)]
+        for lo, hi in _row_blocks(self.n):
+            bits = np.triu(_unpack_rows(self.adj[lo:hi], self.n), k=lo + 1)
+            u, v = np.nonzero(bits)
+            parts.append(np.stack((u + lo, v), axis=1))
+        return np.concatenate(parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -70,19 +80,60 @@ class Graph:
                 raise AssertionError(f"asymmetric pair ({u},{v})")
 
 
+def _row_blocks(n: int, width: int | None = None):
+    """(lo, hi) bounds of consecutive blocks of rows, ``width`` bytes (default
+    n) per row, each at most _BLOCK_BITS bytes unless one row is wider."""
+    step = max(1, _BLOCK_BITS // max(width or n, 1))
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+
+
+def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
+    """The first ``width`` bits of each bitset row, as a (len(rows), width) uint8 0/1 array."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    packed = np.frombuffer(buf, np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def edge_pairs(edges) -> np.ndarray:
+    """Endpoint pairs (an array or an iterable of pairs) as an (M, 2) int64 array."""
+    arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if arr.size == 0:
+        return np.empty((0, 2), np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "biu":
+        raise ValueError("edges must be pairs of integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def bitset_rows(n: int, pairs: np.ndarray, complement: bool = False) -> list[int]:
+    """Adjacency rows of the graph on n vertices with the edges ``pairs``, an
+    (M, 2) array of in-range endpoints (duplicates collapse); of its
+    complement instead when ``complement`` is set."""
+    nbytes = (n + 7) // 8
+    packed = np.zeros((n, nbytes), np.uint8)
+    u, v = pairs[:, 0], pairs[:, 1]
+    diagonal = np.arange(n) if complement else np.empty(0, np.int64)  # kept clear in a complement
+    for a, b in ((u, v), (v, u), (diagonal, diagonal)):
+        np.bitwise_or.at(packed, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    if complement:
+        np.invert(packed, out=packed)
+        packed[:, -1] &= np.uint8((1 << (n % 8 or 8)) - 1)  # the bits of the last byte that are vertices
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
 def make_graph(vertex_count: int, edges) -> Graph:
     """Build a graph from unordered endpoint pairs; duplicates collapse silently."""
     if vertex_count < 1:
         raise ValueError(f"vertex_count must be positive, got {vertex_count}")
-    adj = [0] * vertex_count
-    for u, v in edges:
+    pairs = edge_pairs(edges)
+    bad = (pairs[:, 0] == pairs[:, 1]) | ((pairs < 0) | (pairs >= vertex_count)).any(axis=1)
+    if bad.any():
+        u, v = pairs[bad.argmax()].tolist()
         if u == v:
             raise ValueError(f"self-loop ({u},{v}) not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge ({u},{v}) out of range for n={vertex_count}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(vertex_count, adj)
+        raise ValueError(f"edge ({u},{v}) out of range for n={vertex_count}")
+    return Graph(vertex_count, bitset_rows(vertex_count, pairs))
 
 
 def empty_graph(n: int) -> Graph:
@@ -212,45 +263,30 @@ def _is_independent_graph(g: Graph, members) -> bool:
     return True
 
 
-def _is_independent_view_pairwise(view: PowerGraphView, members: list) -> bool:
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if view.adjacent(u, v):
-                return False
-    return True
-
-
-def _is_independent_view_bitset(view: PowerGraphView, members: list) -> bool:
-    # Group members by coordinate value; member j survives coordinate c against
-    # exactly the members whose value is adjacent-or-equal to its own. A set is
-    # independent iff every member's all-coordinate survivor mask is just itself.
+def _is_independent_view(view: PowerGraphView, members: list) -> bool:
+    # Members i and j are adjacent-or-equal at coordinate c iff bit t_j[c] is
+    # set in the base's adjacent-or-equal row of t_i[c]. For a block of
+    # members j, gather those bits into packed rows per coordinate and AND
+    # them over the coordinates: the set is independent iff each member then
+    # keeps only its own bit. A block of B members holds V x B bits before
+    # packing and M x B/8 bytes after, so B is sized by the larger of the two.
     base = view.base
-    m = len(members)
-    nbytes = (m + 7) // 8
-    aoe = _aoe_rows(base)
-    masks_per_coord = []
-    for c in range(view.k):
-        raw = [bytearray(nbytes) for _ in range(base.n)]
-        for j, t in enumerate(members):
-            raw[t[c]][j >> 3] |= 1 << (j & 7)
-        buckets = [int.from_bytes(b, "little") for b in raw]
-        coord_mask = [0] * base.n
-        for x in range(base.n):
-            acc = 0
-            row = aoe[x]
-            while row:
-                low = row & -row
-                row ^= low
-                acc |= buckets[low.bit_length() - 1]
-            coord_mask[x] = acc
-        masks_per_coord.append(coord_mask)
-    for j, t in enumerate(members):
-        acc = masks_per_coord[0][t[0]]
-        for c in range(1, view.k):
-            acc &= masks_per_coord[c][t[c]]
-            if acc == 0:
-                break
-        if acc != 1 << j:
+    tuples = np.array(members, dtype=np.int64)
+    values, where = np.unique(tuples, return_inverse=True)
+    where = where.reshape(tuples.shape)
+    nbytes = (base.n + 7) // 8
+    buf = b"".join((base.adj[x] | 1 << x).to_bytes(nbytes, "little") for x in values.tolist())
+    aoe = np.frombuffer(buf, np.uint8).reshape(len(values), nbytes)
+    for lo, hi in _row_blocks(len(members), max(len(values), len(members) // 8)):
+        acc = None
+        for c in range(view.k):
+            col = tuples[lo:hi, c]
+            bits = aoe[:, col >> 3] >> (col & 7).astype(np.uint8) & 1
+            rows = np.packbits(bits, axis=1, bitorder="little")[where[:, c]]
+            acc = rows if acc is None else np.bitwise_and(acc, rows, out=acc)
+        own = np.arange(hi - lo)
+        acc[own + lo, own >> 3] &= ~np.left_shift(1, own & 7).astype(np.uint8)
+        if acc.any():
             return False
     return True
 
@@ -264,7 +300,5 @@ def is_independent(g, members) -> bool:
         unique = list(dict.fromkeys(tuple(t) for t in members))
         for t in unique:
             g._check(t)
-        if len(unique) <= 64:
-            return _is_independent_view_pairwise(g, unique)
-        return _is_independent_view_bitset(g, unique)
+        return _is_independent_view(g, unique)
     raise TypeError(f"expected Graph or PowerGraphView, got {type(g).__name__}")

@@ -9,11 +9,21 @@ Construction metadata travels in a JSON sidecar at ``<path>.meta.json``.
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
 from pathlib import Path
 
-from .graphs import Graph, make_graph
+import numpy as np
+
+from .graphs import Graph, bitset_rows, make_graph
 
 GENERATOR_VERSION = "capforge 0.1.0"
+
+# A body as write_graph writes it is this header, then "e u v" lines and
+# nothing else: no line of it matches _OTHER_LINE. (One line at a time, since
+# a repeated group would keep backtracking state for every line.)
+_PLAIN_HEADER = re.compile(r"p edge ([0-9]{1,9}) ([0-9]{1,9})\n")
+_OTHER_LINE = re.compile(r"^(?!e [0-9]{1,9} [0-9]{1,9}$)", re.MULTILINE)
 
 
 class GraphFormatError(ValueError):
@@ -25,6 +35,48 @@ def meta_path(path) -> Path:
     return p.with_name(p.name + ".meta.json")
 
 
+def _string_order_key(x: np.ndarray) -> np.ndarray:
+    """Integers keyed so that keys order like their decimal strings: the
+    digits padded with zeros to a common width, then the digit count."""
+    width = len(str(int(x.max(initial=1))))
+    digits = np.searchsorted(10 ** np.arange(width, dtype=np.int64), x, side="right")
+    return x * 10 ** (width - digits) * (width + 1) + digits
+
+
+def _edge_lines(g: Graph) -> tuple[int, str]:
+    """The number of edges of g and its 1-based "e u v" lines, sorted as strings."""
+    edges = g.edge_array() + 1
+    u, v = edges.T
+    order = np.lexsort((_string_order_key(v), _string_order_key(u)))
+    return len(edges), ("e %d %d\n" * len(edges)) % tuple(edges[order].ravel().tolist())
+
+
+def _is_pair_list(value) -> bool:
+    return (
+        set(map(type, value)) <= {list, tuple}
+        and set(map(len, value)) == {2}
+        and set(map(type, chain.from_iterable(value))) == {int}
+    )
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``indent``;
+    lists of integer pairs, such as removed edges, are printed directly."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
+        return "{\n" + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if _is_pair_list(value):
+            deep = inner + "  "
+            pair = f"{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
+            body = ",\n".join([pair] * len(value)) % tuple(chain.from_iterable(value))
+        else:
+            body = ",\n".join(inner + _json_text(item, inner) for item in value)
+        return "[\n" + body + "\n" + indent + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def write_graph(g, path, metadata: dict | None = None) -> None:
     """Serialize a Graph, or a ConstructedGraph along with its metadata
     sidecar (explicit ``metadata`` wins if both are given)."""
@@ -32,21 +84,44 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
         if metadata is None:
             metadata = g.metadata()
         g = g.graph
-    lines = [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-    lines.sort()
-    text = "\n".join([f"p edge {g.n} {len(lines)}"] + lines) + "\n"
-    Path(path).write_text(text, newline="\n")
+    m, lines = _edge_lines(g)
+    Path(path).write_text(f"p edge {g.n} {m}\n{lines}", newline="\n")
     if metadata is not None:
         meta = dict(metadata)
         meta.setdefault("generator_version", GENERATOR_VERSION)
-        meta_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", newline="\n")
+        meta_path(path).write_text(_json_text(meta) + "\n", newline="\n")
+
+
+def _read_plain(text: str) -> Graph | None:
+    """The graph of a body in write_graph's own format, or None when the body
+    is in any other form or is not a valid graph."""
+    text = text if text.endswith("\n") else text + "\n"
+    header = _PLAIN_HEADER.match(text)
+    if header is None or _OTHER_LINE.search(text, header.end(), len(text) - 1):
+        return None
+    n, m = int(header[1]), int(header[2])
+    body = text[header.end() :].replace("e", "")
+    ends = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+    if n < 1 or ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
+        return None
+    g = Graph(n, bitset_rows(n, ends))
+    return g if g.edge_count() == m else None
 
 
 def read_graph(path) -> Graph:
+    """Parse a graph file. A body in write_graph's own format takes a regex
+    and numpy fast path; any other body, and any invalid one, goes through
+    the line-by-line parser, which raises GraphFormatError with the line."""
+    text = Path(path).read_text()
+    g = _read_plain(text)
+    return g if g is not None else _read_lines(path, text)
+
+
+def _read_lines(path, text: str) -> Graph:
     n = None
     m = None
     edges = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue

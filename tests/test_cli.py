@@ -314,3 +314,37 @@ def test_config_nu_reaches_jump_demo_and_mc_alpha(tmp_path, capsys):
     out = tmp_path / "mc.json"
     assert run("mc-alpha", "--config", str(cfg), "--trials", "2", "--out", str(out)) == 0
     assert json.loads(out.read_text())["config"]["nu"] == 3
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("alpha", "x"), ("nu_list", [2, "3"]), ("seeds", 5), ("factors", []), ("n", "2"), ("factors", [1, 2])],
+)
+def test_malformed_product_sidecar_fails_verify_and_series(tmp_path, capsys, key, value):
+    g = tmp_path / "p.col"
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2", "--seeds", "1,2", "--out", str(g)) == 0
+    mp = meta_path(g)
+    meta = json.loads(mp.read_text())
+    meta[key] = value
+    mp.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    captured = capsys.readouterr()
+    assert f"[FAIL] metadata consistent (metadata '{key}' must be" in captured.out
+    assert "Traceback" not in captured.err
+    assert run("series", str(g)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
+
+
+def test_verify_compares_each_factor_seed(tmp_path, capsys):
+    g = tmp_path / "p.col"
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2", "--seeds", "1,2", "--out", str(g)) == 0
+    mp = meta_path(g)
+    meta = json.loads(mp.read_text())
+    meta["factors"][1]["seed"] = 9
+    mp.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] factor nu=3 seed reproduces removed edges" in out
+    assert "[ok ] factor nu=2 seed reproduces removed edges" in out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -85,6 +86,8 @@ class TestEquivalenceClasses:
     @settings(max_examples=40, deadline=None)
     def test_closed_under_shift_and_rep_minimal(self, p):
         cls = equivalence_classes(p.nu, p.n)
+        reps = [c.representative for c in cls]
+        assert reps == sorted(reps)
         for c in cls:
             assert c.representative == min(c.members)
             member_set = set(c.members)
@@ -138,6 +141,11 @@ class TestSampleJumpGraph:
         a = sample_jump_graph(JumpParams(nu=3, n=4, seed=99))
         b = sample_jump_graph(JumpParams(nu=3, n=4, seed=99))
         assert a.graph == b.graph and a.removed_edges == b.removed_edges
+
+    def test_equality_compares_removed_arrays(self):
+        a, b, c = (sample_jump_graph(JumpParams(nu=3, n=4, seed=s)) for s in (99, 99, 98))
+        assert a == b and a.removed_edges != c.removed_edges and a != c
+        assert dataclasses.replace(a, removed=c.removed) != a
 
     def test_seed_changes_graph(self):
         graphs = {tuple(sample_jump_graph(JumpParams(nu=3, n=4, seed=s)).removed_edges) for s in range(8)}

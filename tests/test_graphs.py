@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from capforge import (
     strong_product,
     tuple_to_index,
 )
+from capforge import graphs
 from capforge.solver import brute_force_mis, mitm_mis
 
 
@@ -61,6 +64,26 @@ class TestMakeGraph:
     @given(graphs_strategy())
     def test_symmetric_irreflexive(self, g):
         g.check_valid()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.data())
+    def test_rows_and_edges_match_bit_loop(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * len(pairs)) if pairs else st.just([]))
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        distinct = sorted({(min(e), max(e)) for e in edges})
+        for block_bits in (8, 1 << 22):  # one row per block, and every row in one block
+            with patch.object(graphs, "_BLOCK_BITS", block_bits):
+                g = make_graph(n, [e[::-1] for e in edges])
+                assert g.adj == adj
+                assert list(g.edges()) == distinct
+                full = (1 << n) - 1
+                assert graphs.bitset_rows(n, graphs.edge_pairs(edges), complement=True) == [
+                    full ^ row ^ (1 << v) for v, row in enumerate(adj)
+                ]
 
 
 class TestStrongProduct:
@@ -209,19 +232,36 @@ class TestIsIndependent:
     @settings(max_examples=40, deadline=None)
     @given(graphs_strategy(max_n=5), st.integers(min_value=1, max_value=3), st.data())
     def test_view_paths_agree(self, g, k, data):
-        from capforge.graphs import _is_independent_view_bitset, _is_independent_view_pairwise
-
         v = power_view(g, k)
         tuples = data.draw(
             st.lists(
                 st.tuples(*[st.integers(min_value=0, max_value=g.n - 1)] * k),
                 min_size=0,
-                max_size=12,
+                max_size=24,
                 unique=True,
             )
         )
         members = list(tuples)
-        assert _is_independent_view_pairwise(v, members) == _is_independent_view_bitset(v, members)
+        pairwise = not any(v.adjacent(a, b) for a, b in itertools.combinations(members, 2))
+        assert is_independent(v, members) == pairwise
+        with patch.object(graphs, "_BLOCK_BITS", 8):  # a few members per block
+            assert is_independent(v, members) == pairwise
+
+    def test_view_blocks_bounded_when_members_outnumber_values(self):
+        # 2^13 members over 2 coordinate values: a block sized by the values
+        # alone would hold M x M/8 bytes (8 MiB) per coordinate.
+        k = 13
+        members = list(itertools.product(range(2), repeat=k))
+        m = len(members)
+        v = power_view(empty_graph(2), k)
+        with patch.object(graphs, "_BLOCK_BITS", 1 << 15):
+            tracemalloc.start()
+            try:
+                assert is_independent(v, members)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < m * m // 8
 
     def test_view_matches_graph_semantics(self):
         g = cycle_graph(5)

@@ -1,11 +1,16 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capforge import io as gio
 from capforge import (
     GraphFormatError,
     JumpParams,
     cycle_graph,
+    make_graph,
     read_graph,
     read_metadata,
     sample_jump_graph,
@@ -139,3 +144,89 @@ def test_metadata_schema_fields(tmp_path):
         assert key in meta
     assert meta["N"] == 4
     assert all(len(e) == 2 for e in meta["removed_edges"])
+
+
+def _graph_from_seed(n, density, seed):
+    rng = random.Random(seed)
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def _parse(path, parser):
+    try:
+        return parser()
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+def _perturb(text: str, how: str, rng: random.Random) -> str:
+    lines = text.splitlines()
+    header, edges = lines[0], lines[1:]
+    n, m = map(int, header.split()[2:])
+    i = rng.randrange(len(edges)) if edges else None
+    if how == "comment":
+        lines.insert(rng.randrange(len(lines) + 1), "c a comment")
+    elif how == "blank":
+        lines.insert(rng.randrange(1, len(lines) + 1), "")
+    elif how == "spaces" and edges:
+        _, u, v = edges[i].split()
+        lines[1 + i] = f"  e {u}   {v} "
+    elif how == "plus" and edges:
+        _, u, v = edges[i].split()
+        lines[1 + i] = f"e +{u} {v}"
+    elif how == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif how == "duplicate" and edges:
+        lines.insert(1 + i, edges[i])
+    elif how == "count":
+        lines[0] = f"p edge {n} {m + rng.choice([-1, 1])}"
+    elif how == "out_of_range":
+        lines.insert(rng.randrange(1, len(lines) + 1), f"e 1 {n + 1}")
+    elif how == "self_loop":
+        lines.insert(rng.randrange(1, len(lines) + 1), f"e {n} {n}")
+    elif how == "no_final_newline":
+        return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+PERTURBATIONS = [
+    "none", "comment", "blank", "spaces", "plus", "crlf", "duplicate",
+    "count", "out_of_range", "self_loop", "no_final_newline",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(PERTURBATIONS),
+)
+def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, how):
+    """write_graph -> read_graph round-trips, and on perturbed files the fast
+    path gives the same Graph or the same error as the line-by-line parser."""
+    path = tmp_path_factory.mktemp("rt") / "g.col"
+    g = _graph_from_seed(n, density, seed)
+    write_graph(g, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"p edge {n} {g.edge_count()}" and lines[1:] == sorted(lines[1:])
+    assert read_graph(path) == g
+    path.write_bytes(_perturb(path.read_text(), how, random.Random(seed)).encode())
+    text = path.read_text()
+    assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, text))
+    if how in ("none", "crlf", "duplicate", "no_final_newline"):
+        assert gio._read_plain(text) == g  # write_graph's own format: the fast path
+    if how in ("none", "comment", "blank", "spaces", "plus", "crlf", "duplicate", "no_final_newline"):
+        assert read_graph(path) == g
+
+
+int_pairs = st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integers(), min_size=2, max_size=2), max_size=4)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5) | int_pairs,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_sidecar_text_matches_json_dumps(value):
+    assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
