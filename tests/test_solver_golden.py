@@ -36,6 +36,10 @@ def _solve(case: str):
         return max_independent_set(_random_graph(int(rest[0])), BUDGETS[rest[1]])
     if kind == "jump":  # the mc-alpha-128 solves: N=128, untargeted
         return max_independent_set(sample_jump_graph(JumpParams(nu=2, n=64, seed=int(rest[1]))).graph)
+    if kind == "refute":  # targeted solves on N=256, as jump-demo runs them; target 16 = ceil(sqrt(256))
+        target = int(rest[2][1:]) if len(rest) > 2 else 16
+        g = sample_jump_graph(JumpParams(nu=2, n=128, seed=int(rest[1]))).graph
+        return max_independent_set(g, SolverBudget(target=target))
     # the series-64 solve: G^2 of the N=64 seed-7 graph, 4096 vertices
     g = strong_power(sample_jump_graph(JumpParams(nu=2, n=32, seed=7)).graph, 2)
     return max_independent_set(g, SolverBudget(max_nodes=2000))
@@ -144,6 +148,15 @@ GOLDEN = [
     ("jump-128-2", ("b269ae612cf836ae9e51c284dbedeeee35ba5654b83738fd563e0ffde977f6fd", 10, "exact", None, 1024)),
     ("jump-128-3", ("31f01ae52a95829192ec7a17064b53cdb769b13a9ac5fdf5490aa894a88bb22b", 10, "exact", None, 738)),
     ("jump-128-4", ("021c812d60f743beb5790b32a9ae802d8f7e9efbe4dec6be0003eff871922b65", 10, "exact", None, 851)),
+    ("refute-256-0", ("3fd1df87be3ccd10fe3ec29b47b469062425392b18072bf9327d05fbac2b7022", 7, "upper_bound_certified", 15, 3393)),
+    ("refute-256-1", ("1a6f37bede2e588ea33ad13bf8b9f9c4b57fcc820bc0484a9740fdb845505ccc", 8, "upper_bound_certified", 15, 3326)),
+    ("refute-256-2", ("57af31a42e83d4eba6b5a095460307be0d11fd3201ed6299058de58ab62f58bb", 8, "upper_bound_certified", 15, 3219)),
+    ("refute-256-3", ("c7f94dabbaa247804786974f545219ee4f55c1e1f51d242330110d49309cea54", 9, "upper_bound_certified", 15, 3216)),
+    ("refute-256-4", ("ff806cef4f8be79520de890949bc14ba10bfbdc8e819cdb8c7f325f5d46c58d4", 9, "upper_bound_certified", 15, 3334)),
+    # the search reaches the target partway through
+    ("refute-256-0-t11", ("c4da546878077f49bed309a3fc4f09c92e4996a28f743dfb02c5e7617449a609", 11, "lower_bound", None, 1058)),
+    # the greedy incumbent already meets the target: no node is searched
+    ("refute-256-0-t7", ("3fd1df87be3ccd10fe3ec29b47b469062425392b18072bf9327d05fbac2b7022", 7, "lower_bound", None, 0)),
     ("power-4096", ("43c4718bb16c0cd7f98c30e1c74ec6bd7d4aa23af8609f1129d8f22c82dfa9e2", 49, "lower_bound", None, 2001)),
 ]
 
