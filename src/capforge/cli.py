@@ -157,6 +157,18 @@ def _resolve_cap(flag) -> int:
     return DEFAULT_CAP
 
 
+def _bad_common_flag(args) -> str | None:
+    """The complaint about the first budget or thread flag that holds a value
+    no command can use, or None."""
+    if args.budget_nodes is not None and args.budget_nodes < 0:
+        return "--budget-nodes must be >= 0"
+    if args.budget_secs is not None and not 0 <= args.budget_secs < math.inf:
+        return "--budget-secs must be a finite number >= 0"
+    if args.threads < 1:
+        return "--threads must be >= 1"
+    return None
+
+
 def _budget(args) -> SolverBudget | None:
     if args.budget_nodes is None and args.budget_secs is None:
         return None
@@ -378,8 +390,13 @@ def cmd_mc_alpha(args) -> int:
         params = JumpParams(nu=nu, n=n, seed=seed)
     except ValueError as exc:
         return _usage_error(str(exc))
+    if not 0 < args.p_budget <= 1:
+        return _usage_error("--p-budget must be in (0, 1]")
     N = params.N
-    s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
+    try:
+        s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     budget = _budget(args)
     tasks = [(nu, n, seed + i, budget) for i in range(args.trials)]
     if args.threads > 1:
@@ -451,6 +468,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    bad = _bad_common_flag(args)
+    if bad is not None:
+        return _usage_error(bad)
     handlers = {
         "construct": cmd_construct,
         "series": cmd_series,

@@ -43,12 +43,21 @@ def _string_order_key(x: np.ndarray) -> np.ndarray:
     return x * 10 ** (width - digits) * (width + 1) + digits
 
 
-def _edge_lines(g: Graph) -> tuple[int, str]:
-    """The number of edges of g and its 1-based "e u v" lines, sorted as strings."""
-    edges = g.edge_array() + 1
+# Edge lines are formatted this many at a time, so the Python ints and the
+# text of one chunk are all that exist at once, however large the graph is.
+_EDGE_CHUNK = 1 << 16
+
+
+def _write_body(g: Graph, f) -> None:
+    """Write the header and g's 1-based "e u v" lines, sorted as strings, to f."""
+    edges = g.edge_array()
+    edges += 1
     u, v = edges.T
-    order = np.lexsort((_string_order_key(v), _string_order_key(u)))
-    return len(edges), ("e %d %d\n" * len(edges)) % tuple(edges[order].ravel().tolist())
+    edges = edges[np.lexsort((_string_order_key(v), _string_order_key(u)))]
+    f.write(f"p edge {g.n} {len(edges)}\n")
+    for start in range(0, len(edges), _EDGE_CHUNK):
+        chunk = edges[start : start + _EDGE_CHUNK]
+        f.write(("e %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _is_pair_list(value) -> bool:
@@ -84,8 +93,8 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
         if metadata is None:
             metadata = g.metadata()
         g = g.graph
-    m, lines = _edge_lines(g)
-    Path(path).write_text(f"p edge {g.n} {m}\n{lines}", newline="\n")
+    with open(path, "w", newline="\n") as f:
+        _write_body(g, f)
     if metadata is not None:
         meta = dict(metadata)
         meta.setdefault("generator_version", GENERATOR_VERSION)

@@ -193,8 +193,11 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     comp = g.complement_adjacency()
     root_order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
     adj = _relabel(comp, root_order)
-    notadj = [~a for a in adj]
     full = (1 << n) - 1
+    # nonadj[v + 1]: the candidates v does not exclude from its colour class
+    # (v itself and its complement neighbours removed), indexed by the
+    # bit_length of 1 << v
+    nonadj = [0] + [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
 
     # greedy clique in the complement as the incumbent
     p = full
@@ -227,22 +230,35 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
                 if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
                     break
                 cutoff = best if best > floor_prune else floor_prune
-                if size + cands.bit_count() > cutoff:
+                # Greedy colouring of cands. A vertex coloured kmin or less is
+                # never branched on: the cutoff only rises while the frame is
+                # open, and colours rise along order, so the pop loop stops
+                # before reaching it. Classes 1..kmin are therefore only
+                # stripped from rest, and stripping stops once no remaining
+                # vertex can get a colour above kmin.
+                kmin = cutoff - size
+                color = 0
+                rest = cands
+                while color < kmin and color + rest.bit_count() > kmin:
+                    color += 1
+                    q = rest
+                    while q:
+                        low = q & -q
+                        rest ^= low
+                        q &= nonadj[low.bit_length()]
+                if color + rest.bit_count() > kmin:
                     order = []
                     colors = []
-                    color = 0
-                    rest = cands
                     while rest:
                         color += 1
                         q = rest
                         while q:
                             low = q & -q
-                            v = low.bit_length() - 1
-                            order.append(v)
+                            b = low.bit_length()
+                            order.append(b - 1)
                             colors.append(color)
                             rest ^= low
-                            q ^= low
-                            q &= notadj[v]
+                            q &= nonadj[b]
                     stack.append([r_mask, size, order, colors, len(order) - 1, cands])
             if not stack:
                 completed = True

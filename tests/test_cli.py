@@ -348,3 +348,34 @@ def test_verify_compares_each_factor_seed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] factor nu=3 seed reproduces removed edges" in out
     assert "[ok ] factor nu=2 seed reproduces removed edges" in out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--p-budget", "0"), "--p-budget must be in (0, 1]"),
+        (("--p-budget", "nan"), "--p-budget must be in (0, 1]"),
+        (("--p-budget", "inf"), "--p-budget must be in (0, 1]"),
+        (("--p-budget", "1e-300"), "no s up to N=16 reaches p_budget=1e-300"),
+        (("--budget-secs", "nan"), "--budget-secs must be a finite number >= 0"),
+        (("--budget-secs", "-1"), "--budget-secs must be a finite number >= 0"),
+        (("--budget-nodes", "-1"), "--budget-nodes must be >= 0"),
+        (("--threads", "0"), "--threads must be >= 1"),
+    ],
+)
+def test_bad_budget_flags_are_usage_errors(capsys, flags, message):
+    assert run("mc-alpha", "--nu", "2", "--n", "8", "--trials", "2", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no trial ran
+    assert "Traceback" not in captured.err
+    assert captured.err.strip() == f"capforge: error: {message}"
+
+
+def test_bad_budget_flag_rejected_by_every_command(tmp_path, capsys):
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "2", "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("series", str(g), "--budget-nodes", "-1") == 1
+    assert _one_line_error(capsys) == "capforge: error: --budget-nodes must be >= 0"
+    assert run("jump-demo", "--n", "8", "--budget-secs", "nan") == 1
+    assert _one_line_error(capsys) == "capforge: error: --budget-secs must be a finite number >= 0"

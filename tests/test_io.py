@@ -53,6 +53,19 @@ def test_byte_reproducible(tmp_path):
     assert meta_path(p1).read_bytes() == meta_path(p2).read_bytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 44])
+def test_edge_lines_do_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
+    g = sample_jump_graph(JumpParams(nu=3, n=4, seed=11)).graph  # 44 edges
+    whole = tmp_path / "whole.col"
+    write_graph(g, whole)
+    monkeypatch.setattr(gio, "_EDGE_CHUNK", chunk)
+    chunked = tmp_path / "chunked.col"
+    write_graph(g, chunked)
+    assert chunked.read_bytes() == whole.read_bytes()
+    lines = whole.read_text().splitlines()
+    assert lines[0] == "p edge 12 44" and len(lines) == 45
+
+
 def test_write_constructed_graph_directly(tmp_path):
     path = tmp_path / "cg.col"
     cg = sample_jump_graph(JumpParams(nu=2, n=3, seed=5))

@@ -42,6 +42,113 @@ def graphs_strategy(max_n=12):
     return build()
 
 
+def _full_colouring_mis(g, max_nodes=None, target=None):
+    """Reference copy of the B&B that colours and records every candidate of
+    every node (no deadline). Returns the fields the search determines:
+    (members, size, status, certified_upper, search_nodes)."""
+    n = g.n
+    comp = g.complement_adjacency()
+    root_order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
+    pos = {v: i for i, v in enumerate(root_order)}
+    adj = [sum(1 << pos[u] for u in range(n) if comp[v] >> u & 1) for v in root_order]
+    notadj = [~a for a in adj]
+    full = (1 << n) - 1
+
+    p = full
+    mask = 0
+    while p:
+        low = p & -p
+        mask |= low
+        p &= adj[low.bit_length() - 1]
+    best_mask = mask
+    best = mask.bit_count()
+
+    floor_prune = target - 1 if target is not None else 0
+    nodes = 0
+    completed = False
+    hit_target = target is not None and best >= target
+    if not hit_target:
+        stack = []
+        r_mask, size, cands = 0, 0, full
+        descend = True
+        while True:
+            if descend:
+                nodes += 1
+                if max_nodes is not None and nodes > max_nodes:
+                    break
+                cutoff = best if best > floor_prune else floor_prune
+                if size + cands.bit_count() > cutoff:
+                    order = []
+                    colors = []
+                    color = 0
+                    rest = cands
+                    while rest:
+                        color += 1
+                        q = rest
+                        while q:
+                            low = q & -q
+                            v = low.bit_length() - 1
+                            order.append(v)
+                            colors.append(color)
+                            rest ^= low
+                            q ^= low
+                            q &= notadj[v]
+                    stack.append([r_mask, size, order, colors, len(order) - 1, cands])
+            if not stack:
+                completed = True
+                break
+            frame = stack[-1]
+            r_mask, size, order, colors, i, local = frame
+            descend = False
+            while i >= 0:
+                cutoff = best if best > floor_prune else floor_prune
+                if size + colors[i] <= cutoff:
+                    break
+                v = order[i]
+                low = 1 << v
+                sub = local & adj[v]
+                local ^= low
+                i -= 1
+                if sub:
+                    descend = True
+                    break
+                if size + 1 > best:
+                    best = size + 1
+                    best_mask = r_mask | low
+                    if target is not None and best >= target:
+                        hit_target = True
+                        break
+            if hit_target:
+                break
+            if descend:
+                frame[4] = i
+                frame[5] = local
+                r_mask |= low
+                size += 1
+                cands = sub
+            else:
+                stack.pop()
+
+    members = frozenset(root_order[i] for i in range(n) if best_mask >> i & 1)
+    certified_upper = None
+    if completed:
+        if target is None:
+            status = "exact"
+        else:
+            certified_upper = target - 1
+            status = "exact" if best == certified_upper else "upper_bound_certified"
+    else:
+        status = "lower_bound"
+    return members, best, status, certified_upper, nodes
+
+
+@st.composite
+def dense_or_sparse_graphs(draw, max_n=30):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    density = draw(st.sampled_from((0.05, 0.2, 0.4, 0.6, 0.8, 0.95)))
+    return random_graph(n, density, draw(st.integers(min_value=0, max_value=2**32)))
+
+
 class TestBruteForce:
     def test_c5(self):
         res = brute_force_mis(cycle_graph(5))
@@ -169,6 +276,18 @@ class TestBranchAndBound:
             assert res.size == truth
         if res.status == "lower_bound":
             assert res.size >= target
+
+
+    @given(
+        dense_or_sparse_graphs(),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_nodes_and_set_as_full_colouring(self, g, target, max_nodes):
+        res = max_independent_set(g, SolverBudget(max_nodes=max_nodes, target=target))
+        got = (res.members, res.size, res.status, res.certified_upper, res.search_nodes)
+        assert got == _full_colouring_mis(g, max_nodes=max_nodes, target=target)
 
 
 class TestCliqueCover:
