@@ -19,6 +19,7 @@ import time
 from capforge import (
     JumpParams,
     SolverBudget,
+    available_cpus,
     clique_cover_upper_bound,
     explicit_power_set,
     first_moment_bound,
@@ -52,7 +53,8 @@ def main():
             cert = explicit_power_set(params, args.nu)
             assert is_independent(power_view(cg.graph, args.nu), cert)
             t0 = time.perf_counter()
-            res = max_independent_set(cg.graph, SolverBudget(max_time=args.budget_secs, target=target))
+            budget = SolverBudget(max_time=args.budget_secs, target=target, workers=available_cpus())
+            res = max_independent_set(cg.graph, budget)
             secs = time.perf_counter() - t0
             hi = res.certified_upper if res.certified_upper is not None else (
                 res.size if res.status == "exact" else clique_cover_upper_bound(cg.graph)

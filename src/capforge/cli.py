@@ -26,7 +26,7 @@ from .constructions import (
     sample_simple_jump_graph,
 )
 from .graphs import DEFAULT_CAP, is_independent, power_view
-from .solver import SolverBudget, clique_cover_upper_bound, max_independent_set
+from .solver import SolverBudget, available_cpus, clique_cover_upper_bound, max_independent_set
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +49,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--cap", type=int, default=None, help="materialization cap (vertices); env CAPFORGE_CAP overrides the default")
     p.add_argument("--budget-nodes", type=int, default=None, help="solver node budget")
     p.add_argument("--budget-secs", type=float, default=None, help="solver time budget in seconds")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo trials")
+    p.add_argument("--threads", type=int, default=available_cpus(), help="worker processes for mc-alpha trials and jump-demo's refutation (default: the CPUs this process may use)")
     p.add_argument("--config", type=str, default=None, help="JSON config file; explicit flags win")
 
 
@@ -157,15 +157,17 @@ def _resolve_cap(flag) -> int:
     return DEFAULT_CAP
 
 
+_BUDGET_FLAGS = {"max_nodes": "--budget-nodes", "max_time": "--budget-secs", "workers": "--threads"}
+
+
 def _bad_common_flag(args) -> str | None:
     """The complaint about the first budget or thread flag that holds a value
-    no command can use, or None."""
-    if args.budget_nodes is not None and args.budget_nodes < 0:
-        return "--budget-nodes must be >= 0"
-    if args.budget_secs is not None and not 0 <= args.budget_secs < math.inf:
-        return "--budget-secs must be a finite number >= 0"
-    if args.threads < 1:
-        return "--threads must be >= 1"
+    no command can use, or None: SolverBudget's own, in flag names."""
+    try:
+        SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs, workers=args.threads)
+    except ValueError as exc:
+        field, _, complaint = str(exc).partition(" ")
+        return f"{_BUDGET_FLAGS[field]} {complaint}"
     return None
 
 
@@ -303,7 +305,7 @@ def cmd_jump_demo(args) -> int:
     a_nu = N ** (1 / nu)
     root = round(a_nu)
     target = root if root**nu == N else math.ceil(a_nu)
-    budget = SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs, target=target)
+    budget = SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs, target=target, workers=args.threads)
     res = max_independent_set(cg.graph, budget)
     if res.status == "exact":
         alpha1_lo = alpha1_hi = res.size
@@ -315,7 +317,7 @@ def cmd_jump_demo(args) -> int:
     expected_alpha1 = 2 * math.log(N, nu)
     caveat = expected_alpha1 >= a_nu
     report = {
-        "config": {"nu": nu, "n": n, "seed": seed, "budget_nodes": args.budget_nodes, "budget_secs": args.budget_secs},
+        "config": {"nu": nu, "n": n, "seed": seed, "budget_nodes": args.budget_nodes, "budget_secs": args.budget_secs, "threads": args.threads},
         "N": N,
         "alpha1": {
             "lower": alpha1_lo,

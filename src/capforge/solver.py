@@ -7,6 +7,9 @@ here are dense, so complements are sparse and greedy-coloring bounds bite.
 
 from __future__ import annotations
 
+import math
+import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -18,16 +21,38 @@ from .graphs import Graph, PowerGraphView, is_independent
 BRUTE_FORCE_LIMIT = 24
 MITM_LIMIT = 40
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
 
 @dataclass
 class SolverBudget:
-    """Limits for a single solve; exceeding one is a normal result, not an error."""
+    """Limits for a single solve; exceeding one is a normal result, not an error.
+
+    ``workers`` is the number of processes a targeted search may split its
+    root over; the result does not depend on it. ``max_time`` is wall-clock
+    time, shared by all of them.
+    """
 
     max_nodes: int | None = None
     max_time: float | None = None
     target: int | None = None  # stop once a set of this size is found or refuted
+    workers: int = 1
+
+    def __post_init__(self):
+        # Each message starts with the field's name, which the CLI swaps for its flag.
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise ValueError("max_nodes must be >= 0")
+        if self.max_time is not None and not 0 <= self.max_time < math.inf:
+            raise ValueError("max_time must be a finite number >= 0")
+        if self.target is not None and self.target < 1:
+            raise ValueError("target must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -57,8 +82,11 @@ def brute_force_mis(g: Graph) -> MISResult:
         idx = np.arange(bit, total, bit << 1, dtype=np.uint32)
         nbr_free = (idx & np.uint32(g.adj[b])) == 0
         indep[idx] = indep[idx - bit] & nbr_free
+    # sizes[m] = popcount(m): the masks in [2^b, 2^(b+1)) are those below 2^b plus bit b
+    sizes = np.zeros(total, dtype=np.uint8)
+    for b in range(n):
+        sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
     masks = np.arange(total, dtype=np.uint32)
-    sizes = _POPCOUNT16[masks & 0xFFFF] + _POPCOUNT16[masks >> 16]
     best = int(sizes[indep].max())
     cand = masks[indep & (sizes == best)]
     # lexicographically smallest member list == largest bit-reversed mask
@@ -171,6 +199,189 @@ def _relabel(comp: list[int], order: list[int]) -> list[int]:
     return rows
 
 
+def _colour(cands: int, kmin: int, nonadj: list[int]) -> tuple[list[int], list[int]] | None:
+    """Greedy colouring of ``cands``: the vertices coloured above ``kmin``,
+    in colour order, and their colours; None if there are none.
+
+    A vertex coloured kmin or less is never branched on: the cutoff only
+    rises while a frame is open, and colours rise along the order, so the
+    pop loop stops before reaching it. Classes 1..kmin are therefore only
+    stripped from the candidates, and stripping stops once no remaining
+    vertex can get a colour above kmin.
+    """
+    color = 0
+    rest = cands
+    while color < kmin and color + rest.bit_count() > kmin:
+        color += 1
+        q = rest
+        while q:
+            low = q & -q
+            rest ^= low
+            q &= nonadj[low.bit_length()]
+    if color + rest.bit_count() <= kmin:
+        return None
+    order: list[int] = []
+    colors: list[int] = []
+    while rest:
+        color += 1
+        q = rest
+        while q:
+            low = q & -q
+            b = low.bit_length()
+            order.append(b - 1)
+            colors.append(color)
+            rest ^= low
+            q &= nonadj[b]
+    return order, colors
+
+
+def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nodes, deadline, found):
+    """The branch and bound below the node ``(r_mask, size, cands)``, which it
+    enters first: ``r_mask`` is the clique so far, of ``size`` vertices, and
+    ``cands`` the vertices that extend it.
+
+    Every incumbent improvement over ``best`` is appended to ``found`` as
+    ``(nodes, size, mask)``, ``nodes`` being the nodes entered so far.
+    Returns the nodes entered and how the search ended: ``"done"`` (searched
+    to the end), ``"hit"`` (a clique of ``target`` vertices found) or
+    ``"cut"`` (``max_nodes`` or the absolute ``deadline`` reached).
+
+    The search keeps its own stack of nodes, so its depth is limited by the
+    vertex count, not by the interpreter's recursion limit.
+    """
+    nodes = 0
+    # One frame per open node: [r_mask, size, order, colors, cursor, local].
+    # The node (r_mask, size, cands) is entered at the top of the loop.
+    stack: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                return nodes, "cut"
+            if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
+                return nodes, "cut"
+            cutoff = best if best > floor_prune else floor_prune
+            coloured = _colour(cands, cutoff - size, nonadj)
+            if coloured is not None:
+                order, colors = coloured
+                stack.append([r_mask, size, order, colors, len(order) - 1, cands])
+        if not stack:
+            return nodes, "done"
+        frame = stack[-1]
+        r_mask, size, order, colors, i, local = frame
+        descend = False
+        while i >= 0:
+            cutoff = best if best > floor_prune else floor_prune
+            if size + colors[i] <= cutoff:
+                break
+            v = order[i]
+            low = 1 << v
+            sub = local & adj[v]
+            local ^= low
+            i -= 1
+            if sub:
+                descend = True
+                break
+            if size + 1 > best:
+                best = size + 1
+                found.append((nodes, best, r_mask | low))
+                if target is not None and best >= target:
+                    return nodes, "hit"
+        if descend:
+            frame[4] = i
+            frame[5] = local
+            r_mask |= low
+            size += 1
+            cands = sub
+        else:
+            stack.pop()
+
+
+# What _search_child needs besides its node, set once in each pool worker.
+_WORKER_ARGS: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
+
+
+def _search_child(child: tuple[int, int]) -> tuple[int, list, str]:
+    adj, nonadj, best, floor_prune, target, max_nodes, deadline = _WORKER_ARGS
+    r_mask, cands = child
+    found: list = []
+    nodes, state = _search(adj, nonadj, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found)
+    return nodes, found, state
+
+
+def _merge(results, best, max_nodes, found) -> tuple[int, str]:
+    """Combine the root's subtree results ``(nodes, found, state)`` from
+    ``_search_child``, taken in the sequential order, into what ``_search``
+    from the root (node 1) returns, appending to ``found`` what it would.
+
+    An improvement counts only if it beats the running best, so the set kept
+    is the first one found at the largest size; nodes are summed; the merge
+    stops at the first subtree that hit the target or was cut. A subtree
+    that runs past ``max_nodes`` is cut at the node where the sequential
+    search stops: on entering node ``max_nodes + 1``.
+    """
+    nodes = 1
+    for child_nodes, child_found, state in results:
+        if max_nodes is not None and nodes + child_nodes > max_nodes:
+            child_found = [f for f in child_found if nodes + f[0] <= max_nodes]
+            child_nodes, state = max_nodes + 1 - nodes, "cut"
+        for k, size, mask in child_found:
+            if size > best:
+                best = size
+                found.append((nodes + k, size, mask))
+        nodes += child_nodes
+        if state != "done":
+            return nodes, state
+    return nodes, "done"
+
+
+def _split_search(adj, nonadj, full, best, floor_prune, target, max_nodes, deadline, found, workers):
+    """``_search`` from the root, with the root's subtrees run by ``workers``
+    processes; returns and appends to ``found`` exactly what ``_search`` would.
+
+    While the target is not hit, the incumbent stays below it, so the cutoff
+    is ``floor_prune`` throughout and the subtrees do not depend on one
+    another: each is searched from the greedy incumbent ``best``, with all
+    of ``max_nodes`` but the root, and ``_merge`` puts the results together.
+    ``deadline`` is a ``time.perf_counter`` reading, a system-wide clock, so
+    every worker stops at the same instant.
+    """
+    nodes = 1  # the root
+    if max_nodes is not None and nodes > max_nodes:
+        return nodes, "cut"
+    # With the cutoff fixed, the root's pop loop branches on every vertex the
+    # colouring records. A pop with no candidates left is a set of one
+    # vertex, never above the greedy incumbent, so only the children matter.
+    order, _ = _colour(full, floor_prune, nonadj) or ([], [])
+    children = []
+    local = full
+    for v in reversed(order):
+        low = 1 << v
+        sub = local & adj[v]
+        if sub:
+            children.append((low, sub))
+        local ^= low
+    if not children:
+        return nodes, "done"
+    child_budget = None if max_nodes is None else max_nodes - nodes
+    pool = multiprocessing.Pool(
+        min(workers, len(children)),
+        initializer=_init_worker,
+        initargs=(adj, nonadj, best, floor_prune, target, child_budget, deadline),
+    )
+    try:
+        return _merge(pool.imap(_search_child, children), best, max_nodes, found)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResult:
     """Branch-and-bound maximum clique on the complement, greedy-coloring
     bound recomputed at every node, root order by descending complement
@@ -181,14 +392,12 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     lower_bound) or refuted (certified_upper = target - 1). Exhausting
     max_nodes/max_time yields status lower_bound.
 
-    The search keeps its own stack of nodes, so its depth is limited by the
-    vertex count, not by the interpreter's recursion limit.
+    A targeted search with ``budget.workers`` > 1 runs the root's subtrees in
+    that many processes and returns the same set, status and node count.
     """
     t0 = time.perf_counter()
     budget = budget or SolverBudget()
     target = budget.target
-    if target is not None and target < 1:
-        raise ValueError("target must be >= 1")
     n = g.n
     comp = g.complement_adjacency()
     root_order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
@@ -206,98 +415,24 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
         low = p & -p
         mask |= low
         p &= adj[low.bit_length() - 1]
-    best_mask = mask
     best = mask.bit_count()
 
     floor_prune = target - 1 if target is not None else 0
-    max_nodes = budget.max_nodes
     deadline = t0 + budget.max_time if budget.max_time is not None else None
-    nodes = 0
-
-    completed = False
-    hit_target = target is not None and best >= target
-    if not hit_target:
-        # One frame per open node: [r_mask, size, order, colors, cursor, local].
-        # The node (r_mask, size, cands) is entered at the top of the loop.
-        stack: list[list] = []
-        r_mask, size, cands = 0, 0, full
-        descend = True
-        while True:
-            if descend:
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    break
-                if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
-                    break
-                cutoff = best if best > floor_prune else floor_prune
-                # Greedy colouring of cands. A vertex coloured kmin or less is
-                # never branched on: the cutoff only rises while the frame is
-                # open, and colours rise along order, so the pop loop stops
-                # before reaching it. Classes 1..kmin are therefore only
-                # stripped from rest, and stripping stops once no remaining
-                # vertex can get a colour above kmin.
-                kmin = cutoff - size
-                color = 0
-                rest = cands
-                while color < kmin and color + rest.bit_count() > kmin:
-                    color += 1
-                    q = rest
-                    while q:
-                        low = q & -q
-                        rest ^= low
-                        q &= nonadj[low.bit_length()]
-                if color + rest.bit_count() > kmin:
-                    order = []
-                    colors = []
-                    while rest:
-                        color += 1
-                        q = rest
-                        while q:
-                            low = q & -q
-                            b = low.bit_length()
-                            order.append(b - 1)
-                            colors.append(color)
-                            rest ^= low
-                            q &= nonadj[b]
-                    stack.append([r_mask, size, order, colors, len(order) - 1, cands])
-            if not stack:
-                completed = True
-                break
-            frame = stack[-1]
-            r_mask, size, order, colors, i, local = frame
-            descend = False
-            while i >= 0:
-                cutoff = best if best > floor_prune else floor_prune
-                if size + colors[i] <= cutoff:
-                    break
-                v = order[i]
-                low = 1 << v
-                sub = local & adj[v]
-                local ^= low
-                i -= 1
-                if sub:
-                    descend = True
-                    break
-                if size + 1 > best:
-                    best = size + 1
-                    best_mask = r_mask | low
-                    if target is not None and best >= target:
-                        hit_target = True
-                        break
-            if hit_target:
-                break
-            if descend:
-                frame[4] = i
-                frame[5] = local
-                r_mask |= low
-                size += 1
-                cands = sub
-            else:
-                stack.pop()
+    found = [(0, best, mask)]
+    if target is not None and best >= target:
+        nodes, state = 0, "hit"
+    elif target is not None and budget.workers > 1:
+        nodes, state = _split_search(
+            adj, nonadj, full, best, floor_prune, target, budget.max_nodes, deadline, found, budget.workers
+        )
+    else:
+        nodes, state = _search(adj, nonadj, 0, 0, full, best, floor_prune, target, budget.max_nodes, deadline, found)
+    _, best, best_mask = found[-1]
 
     members = frozenset(root_order[i] for i in range(n) if best_mask >> i & 1)
     certified_upper = None
-    if completed:
+    if state == "done":
         if target is None:
             status = "exact"
         else:

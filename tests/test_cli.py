@@ -3,6 +3,7 @@ import json
 import pytest
 
 from capforge.cli import main
+from capforge.solver import available_cpus
 from capforge.io import meta_path
 
 
@@ -122,6 +123,20 @@ def test_jump_demo_small_n_caveat(tmp_path, capsys):
     assert report["certificate"]["a_k_lower"] == 4.0
     assert report["small_n_caveat"] is True
     assert "first_moment" in report
+
+
+def test_jump_demo_report_does_not_depend_on_threads(tmp_path):
+    # N=256: the refutation of alpha >= 16 visits 3,393 nodes
+    reports = []
+    for flags in ((), ("--threads", "1"), ("--threads", "3")):
+        out = tmp_path / f"demo{len(reports)}.json"
+        assert run("jump-demo", "--nu", "2", "--n", "128", "--seed", "0", *flags, "--out", str(out)) == 0
+        reports.append(json.loads(out.read_text()))
+    assert [r["config"]["threads"] for r in reports] == [available_cpus(), 1, 3]
+    for r in reports:
+        del r["config"]["threads"], r["alpha1"]["elapsed_secs"]
+    assert reports[0]["alpha1"] == {"lower": 7, "upper": 15, "status": "upper_bound_certified", "search_nodes": 3393}
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_multi_jump_report(tmp_path):

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import math
+import multiprocessing
 import random
 
 import pytest
@@ -23,6 +26,7 @@ from capforge import (
     sample_jump_graph,
     strong_product,
 )
+from capforge.solver import _merge
 
 
 def random_graph(n: int, density: float, seed: int):
@@ -288,6 +292,132 @@ class TestBranchAndBound:
         res = max_independent_set(g, SolverBudget(max_nodes=max_nodes, target=target))
         got = (res.members, res.size, res.status, res.certified_upper, res.search_nodes)
         assert got == _full_colouring_mis(g, max_nodes=max_nodes, target=target)
+
+
+class TestSolverBudget:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_time": math.nan},
+            {"max_time": math.inf},
+            {"max_time": -math.inf},
+            {"max_time": -0.5},
+            {"max_nodes": -1},
+            {"target": 0},
+            {"target": -3},
+            {"workers": 0},
+            {"workers": -2},
+        ],
+        ids=repr,
+    )
+    def test_rejects_values_no_solve_can_use(self, fields):
+        (name,) = fields
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SolverBudget(**fields)
+
+    def test_accepts_the_edges_of_each_range(self):
+        SolverBudget(max_nodes=0, max_time=0.0, target=1, workers=1)
+
+
+def _split_fields(g, **budget):
+    res = max_independent_set(g, SolverBudget(**budget))
+    return res.members, res.size, res.status, res.certified_upper, res.search_nodes
+
+
+def _refute_256(seed: int):
+    return sample_jump_graph(JumpParams(nu=2, n=128, seed=seed)).graph
+
+
+class TestRootSplit:
+    """A targeted search split over worker processes returns what the
+    sequential search returns, and leaves no worker behind."""
+
+    @given(dense_or_sparse_graphs(max_n=60), st.integers(min_value=-3, max_value=2), st.sampled_from((2, 3)), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_nodes_and_set_as_sequential(self, g, offset, workers, data):
+        # Targets near alpha, where the root has subtrees to split, and node
+        # budgets that can cut the search anywhere in them.
+        target = max(1, max_independent_set(g).size + offset)
+        nodes = max_independent_set(g, SolverBudget(target=target)).search_nodes
+        max_nodes = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=nodes + 1)))
+        split = _split_fields(g, max_nodes=max_nodes, target=target, workers=workers)
+        assert split == _split_fields(g, max_nodes=max_nodes, target=target)
+
+    # The targeted N=256 cases of test_solver_golden.py, with their expected
+    # (sha256 of sorted members, size, status, certified_upper, search_nodes).
+    @pytest.mark.parametrize(
+        "seed,target,expected",
+        [
+            (0, 16, ("3fd1df87be3ccd10fe3ec29b47b469062425392b18072bf9327d05fbac2b7022", 7, "upper_bound_certified", 15, 3393)),
+            (1, 16, ("1a6f37bede2e588ea33ad13bf8b9f9c4b57fcc820bc0484a9740fdb845505ccc", 8, "upper_bound_certified", 15, 3326)),
+            (2, 16, ("57af31a42e83d4eba6b5a095460307be0d11fd3201ed6299058de58ab62f58bb", 8, "upper_bound_certified", 15, 3219)),
+            (3, 16, ("c7f94dabbaa247804786974f545219ee4f55c1e1f51d242330110d49309cea54", 9, "upper_bound_certified", 15, 3216)),
+            (4, 16, ("ff806cef4f8be79520de890949bc14ba10bfbdc8e819cdb8c7f325f5d46c58d4", 9, "upper_bound_certified", 15, 3334)),
+            (0, 11, ("c4da546878077f49bed309a3fc4f09c92e4996a28f743dfb02c5e7617449a609", 11, "lower_bound", None, 1058)),
+            (0, 7, ("3fd1df87be3ccd10fe3ec29b47b469062425392b18072bf9327d05fbac2b7022", 7, "lower_bound", None, 0)),
+        ],
+        ids=["refute-256-0", "refute-256-1", "refute-256-2", "refute-256-3", "refute-256-4", "refute-256-0-t11", "refute-256-0-t7"],
+    )
+    def test_golden_refutations(self, seed, target, expected):
+        res = max_independent_set(_refute_256(seed), SolverBudget(target=target, workers=2))
+        digest = hashlib.sha256(repr(sorted(res.members)).encode()).hexdigest()
+        assert (digest, res.size, res.status, res.certified_upper, res.search_nodes) == expected
+
+    # _merge on made-up subtree results (nodes, [(node, size, mask)], state),
+    # with a greedy incumbent of size 2.
+    def test_merge_keeps_the_first_set_at_the_best_size(self):
+        found = []
+        results = [(5, [(3, 3, 0b01)], "done"), (4, [(2, 3, 0b10)], "done")]
+        assert _merge(results, 2, None, found) == (10, "done")
+        assert found == [(4, 3, 0b01)]
+
+    def test_merge_cuts_where_the_sequential_search_stops(self):
+        found = []
+        results = [(5, [(2, 3, 0b001)], "done"), (6, [(2, 4, 0b010), (3, 5, 0b100)], "cut")]
+        # nodes 1-6 are the root and the first subtree; node 9 is not entered
+        assert _merge(results, 2, 8, found) == (9, "cut")
+        assert found == [(3, 3, 0b001), (8, 4, 0b010)]
+
+    @pytest.mark.parametrize("state", ["hit", "cut"])
+    def test_merge_stops_at_the_first_subtree_that_did_not_finish(self, state):
+        def results():
+            yield 2, [], "done"
+            yield 70, [(64, 3, 0b01)], state
+            raise AssertionError("merged past the subtree that stopped the search")
+
+        found = []
+        assert _merge(results(), 2, None, found) == (73, state)
+        assert found == [(67, 3, 0b01)]
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            SolverBudget(target=11, workers=2),  # target hit after 1,058 nodes
+            SolverBudget(max_nodes=500, target=16, workers=2),
+            SolverBudget(max_time=0.0, target=16, workers=2),
+        ],
+        ids=["target-hit", "node-budget", "deadline"],
+    )
+    def test_no_worker_outlives_the_solve(self, budget):
+        res = max_independent_set(_refute_256(0), budget)
+        assert res.status == "lower_bound"
+        assert multiprocessing.active_children() == []
+
+    def test_node_budget_cut_matches_sequential(self):
+        g = _refute_256(0)
+        for max_nodes in (0, 1, 2, 500, 3392, 3393):
+            split = _split_fields(g, max_nodes=max_nodes, target=16, workers=2)
+            assert split == _split_fields(g, max_nodes=max_nodes, target=16)
+
+    def test_works_under_spawn(self):
+        # workers get their state from the pool initializer, not from a fork
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            split = _split_fields(_refute_256(0), target=11, workers=2)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert split == _split_fields(_refute_256(0), target=11)
 
 
 class TestCliqueCover:
