@@ -19,7 +19,7 @@ from .constructions import (
     certificate_size_for,
 )
 from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
-from .solver import SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
+from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
 CERT_MATERIALIZE_LIMIT = 1_000_000  # above this, report the closed-form size only
 
@@ -119,6 +119,28 @@ def first_moment_bound(nu: int, N: int, s: int, variant: str = "base", k: int | 
     if log_bound > 700:
         return math.inf
     return math.exp(log_bound)
+
+
+def jump_target(N: int, nu: int) -> int:
+    """The smallest s >= 1 with s**nu >= N. A certificate of size N in G^nu
+    gives a_nu >= N^(1/nu), so refuting alpha(G) >= s shows alpha(G) < a_nu."""
+    s = 1
+    while s**nu < N:
+        s += 1
+    return s
+
+
+def alpha_bracket(g: Graph, budget: SolverBudget | None = None) -> tuple[int, int, MISResult]:
+    """``(lower, upper, result)`` around alpha(g) from one solve under
+    ``budget``: an exact size twice, else the size found and the smaller of
+    the clique cover and any bound a targeted search certified."""
+    res = max_independent_set(g, budget)
+    if res.status == "exact":
+        return res.size, res.size, res
+    upper = clique_cover_upper_bound(g)
+    if res.certified_upper is not None:
+        upper = min(upper, res.certified_upper)
+    return res.size, upper, res
 
 
 def alpha_threshold(nu: int, N: int, p_budget: float, trials: int = 1) -> int:
@@ -348,19 +370,13 @@ def independence_series(
             mode == "auto" and n_power <= min(cap, auto_limit)
         )
         if solve_exact:
-            gk = strong_power(base, k, cap=cap)
-            res = max_independent_set(gk, budget)
+            lo, alpha_upper, res = alpha_bracket(strong_power(base, k, cap=cap), budget)
             if res.status == "exact":
-                alpha_exact = res.size
-                alpha_upper = res.size
-                best_lb = res.size
+                alpha_exact = best_lb = lo
                 methods = {"exact"}
-            else:
-                if res.size > best_lb:
-                    best_lb = res.size
-                    methods = {"local_search"}
-                cc = clique_cover_upper_bound(gk)
-                alpha_upper = cc if res.certified_upper is None else min(cc, res.certified_upper)
+            elif lo > best_lb:
+                best_lb = lo
+                methods = {"branch_and_bound"}
         elif mode != "certificate_only":
             view = power_view(base, k)
             steps = budget.max_nodes if budget and budget.max_nodes else 2000

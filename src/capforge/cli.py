@@ -26,7 +26,7 @@ from .constructions import (
     sample_simple_jump_graph,
 )
 from .graphs import DEFAULT_CAP, is_independent, power_view
-from .solver import SolverBudget, available_cpus, clique_cover_upper_bound, max_independent_set
+from .solver import SolverBudget, available_cpus, max_independent_set
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,14 +43,20 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="base PRNG seed (default 0)")
-    p.add_argument("--out", type=str, default=None, help="output path / prefix")
-    p.add_argument("--cap", type=int, default=None, help="materialization cap (vertices); env CAPFORGE_CAP overrides the default")
-    p.add_argument("--budget-nodes", type=int, default=None, help="solver node budget")
-    p.add_argument("--budget-secs", type=float, default=None, help="solver time budget in seconds")
-    p.add_argument("--threads", type=int, default=available_cpus(), help="worker processes for mc-alpha trials and jump-demo's refutation (default: the CPUs this process may use)")
-    p.add_argument("--config", type=str, default=None, help="JSON config file; explicit flags win")
+def _add_common(p: _Parser, *names: str) -> None:
+    """Declare on ``p`` the common flags ``names``: only those its command reads."""
+    flags = {
+        "seed": (int, None, "base PRNG seed (default 0)"),
+        "out": (str, None, "output path / prefix"),
+        "cap": (int, None, "materialization cap (vertices); env CAPFORGE_CAP overrides the default"),
+        "budget-nodes": (int, None, "solver node budget"),
+        "budget-secs": (float, None, "solver time budget in seconds"),
+        "threads": (int, available_cpus(), "worker processes for mc-alpha trials and jump-demo's refutation (default: the CPUs this process may use)"),
+        "config": (str, None, "JSON config file; explicit flags win"),
+    }
+    for name in names:
+        kind, default, text = flags[name]
+        p.add_argument(f"--{name}", type=kind, default=default, help=text)
 
 
 def build_parser() -> _Parser:
@@ -66,18 +72,18 @@ def build_parser() -> _Parser:
     c.add_argument("--n1", type=int, default=None, help="first-factor rows for --multi (N1 = n1 * nus[0])")
     c.add_argument("--alpha", type=float, default=None, help="jump spacing exponent for --multi (> 1)")
     c.add_argument("--seeds", type=_int_list, default=None, help="per-factor seeds for --multi")
-    _add_common(c)
+    _add_common(c, "seed", "out", "cap", "config")
 
     s = sub.add_parser("series", help="compute the independence series of a graph file")
     s.add_argument("graph", type=str, help="graph file (construct output)")
     s.add_argument("--k-max", type=int, default=3)
     s.add_argument("--mode", choices=["exact", "auto", "certificate-only"], default="auto")
-    _add_common(s)
+    _add_common(s, "out", "cap", "budget-nodes", "budget-secs")
 
     j = sub.add_parser("jump-demo", help="one-jump demonstration: certified a_nu vs solved a_1")
     j.add_argument("--nu", type=int, default=None, help="jump index (default 2)")
     j.add_argument("--n", type=int, default=None, help="rows; N = n * nu (required)")
-    _add_common(j)
+    _add_common(j, "seed", "out", "budget-nodes", "budget-secs", "threads", "config")
 
     m = sub.add_parser("multi-jump", help="multi-jump product: certified ladder report")
     m.add_argument("--nus", type=_int_list, default=None)
@@ -85,18 +91,17 @@ def build_parser() -> _Parser:
     m.add_argument("--alpha", type=float, default=None)
     m.add_argument("--seeds", type=_int_list, default=None)
     m.add_argument("--k-max", type=int, default=None, help="default: largest jump index")
-    _add_common(m)
+    _add_common(m, "seed", "out", "cap", "config")
 
     mc = sub.add_parser("mc-alpha", help="Monte Carlo sweep of exact alpha over seeds")
     mc.add_argument("--nu", type=int, default=None, help="jump index (default 2)")
     mc.add_argument("--n", type=int, default=None, help="rows; N = n * nu (required)")
     mc.add_argument("--trials", type=int, default=100)
     mc.add_argument("--p-budget", type=float, default=1e-3, help="union-bound budget defining the alpha threshold")
-    _add_common(mc)
+    _add_common(mc, "seed", "out", "budget-nodes", "budget-secs", "threads", "config")
 
     v = sub.add_parser("verify", help="re-check a constructed graph file against its metadata")
     v.add_argument("graph", type=str)
-    _add_common(v)
     return p
 
 
@@ -164,17 +169,30 @@ def _bad_common_flag(args) -> str | None:
     """The complaint about the first budget or thread flag that holds a value
     no command can use, or None: SolverBudget's own, in flag names."""
     try:
-        SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs, workers=args.threads)
+        _budget(args, workers=getattr(args, "threads", 1))
     except ValueError as exc:
         field, _, complaint = str(exc).partition(" ")
         return f"{_BUDGET_FLAGS[field]} {complaint}"
     return None
 
 
-def _budget(args) -> SolverBudget | None:
-    if args.budget_nodes is None and args.budget_secs is None:
-        return None
-    return SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs)
+def _budget(args, **fields) -> SolverBudget:
+    """SolverBudget of the budget flags and ``fields``; a command without a budget flag leaves that limit unset."""
+    nodes, secs = getattr(args, "budget_nodes", None), getattr(args, "budget_secs", None)
+    return SolverBudget(max_nodes=nodes, max_time=secs, **fields)
+
+
+def _jump_params(args, cfg: dict, default_nu: int | None, needs: str) -> JumpParams:
+    """The one-jump parameters that flags and config describe. A missing
+    ``nu`` or ``n`` exits 1 with ``needs``, an invalid value with its error."""
+    nu = _pick(args.nu, cfg, "nu", default_nu)
+    n = _pick(args.n, cfg, "n")
+    if nu is None or n is None:
+        raise SystemExit(_usage_error(needs))
+    try:
+        return JumpParams(nu=nu, n=n, seed=_pick(args.seed, cfg, "seed", 0))
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from None
 
 
 def _product(args, cfg: dict, cap: int, needs: str):
@@ -218,18 +236,10 @@ def cmd_construct(args) -> int:
         spec = cg.params
         resolved = {"construction": "product", "nus": list(spec.nus), "n1": spec.n1, "alpha": spec.alpha, "seeds": list(spec.seeds), "cap": cap}
     else:
-        nu = _pick(args.nu, cfg, "nu")
-        n = _pick(args.n, cfg, "n")
-        seed = _pick(args.seed, cfg, "seed", 0)
-        if nu is None or n is None:
-            return _usage_error("construct needs --nu and --n")
+        params = _jump_params(args, cfg, None, "construct needs --nu and --n")
         kind = "simple" if (args.simple or construction == "simple") else "canonical"
-        try:
-            params = JumpParams(nu=nu, n=n, seed=seed)
-            cg = sample_simple_jump_graph(params) if kind == "simple" else sample_jump_graph(params)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        resolved = {"construction": kind, "nu": nu, "n": n, "seed": seed, "cap": cap}
+        cg = sample_simple_jump_graph(params) if kind == "simple" else sample_jump_graph(params)
+        resolved = {"construction": kind, "nu": params.nu, "n": params.n, "seed": params.seed, "cap": cap}
     if args.out is None:
         return _usage_error("construct needs --out")
     meta = cg.metadata()
@@ -286,33 +296,16 @@ def cmd_series(args) -> int:
 
 
 def cmd_jump_demo(args) -> int:
-    cfg = _load_config(args.config)
-    nu = _pick(args.nu, cfg, "nu", 2)
-    n = _pick(args.n, cfg, "n")
-    seed = _pick(args.seed, cfg, "seed", 0)
-    if n is None:
-        return _usage_error("jump-demo needs --n (N = n * nu)")
-    try:
-        params = JumpParams(nu=nu, n=n, seed=seed)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    N = params.N
+    params = _jump_params(args, _load_config(args.config), 2, "jump-demo needs --n (N = n * nu)")
+    nu, n, seed, N = params.nu, params.n, params.seed, params.N
     cg = sample_jump_graph(params)
     cert = explicit_power_set(params, nu)
     if not is_independent(power_view(cg.graph, nu), cert):
         print("certificate failed independence check", file=sys.stderr)
         return 2
     a_nu = N ** (1 / nu)
-    root = round(a_nu)
-    target = root if root**nu == N else math.ceil(a_nu)
-    budget = SolverBudget(max_nodes=args.budget_nodes, max_time=args.budget_secs, target=target, workers=args.threads)
-    res = max_independent_set(cg.graph, budget)
-    if res.status == "exact":
-        alpha1_lo = alpha1_hi = res.size
-    elif res.status == "upper_bound_certified":
-        alpha1_lo, alpha1_hi = res.size, res.certified_upper
-    else:
-        alpha1_lo, alpha1_hi = res.size, clique_cover_upper_bound(cg.graph)
+    target = analysis.jump_target(N, nu)
+    alpha1_lo, alpha1_hi, res = analysis.alpha_bracket(cg.graph, _budget(args, target=target, workers=args.threads))
     bound = analysis.first_moment_bound(nu, N, target)
     expected_alpha1 = 2 * math.log(N, nu)
     caveat = expected_alpha1 >= a_nu
@@ -339,7 +332,7 @@ def cmd_jump_demo(args) -> int:
     print(f"union bound Pr[alpha >= {target}] <= {bound:.3e}")
     if caveat:
         print(f"note: N={N} is too small for a visible jump (theory allows alpha up to ~{expected_alpha1:.1f})")
-    elif alpha1_hi is not None and alpha1_hi < a_nu:
+    elif alpha1_hi < a_nu:
         print(f"jump: a_{nu}/a_1 >= {a_nu / alpha1_hi:.3f}")
     if args.out:
         _write_report(report, args.out)
@@ -372,7 +365,7 @@ def cmd_multi_jump(args) -> int:
     return 0
 
 
-def _mc_trial(task: tuple[int, int, int, SolverBudget | None]) -> tuple[int, str]:
+def _mc_trial(task: tuple[int, int, int, SolverBudget]) -> tuple[int, str]:
     nu, n, seed, budget = task
     cg = sample_jump_graph(JumpParams(nu=nu, n=n, seed=seed))
     res = max_independent_set(cg.graph, budget)
@@ -380,21 +373,12 @@ def _mc_trial(task: tuple[int, int, int, SolverBudget | None]) -> tuple[int, str
 
 
 def cmd_mc_alpha(args) -> int:
-    cfg = _load_config(args.config)
-    nu = _pick(args.nu, cfg, "nu", 2)
-    n = _pick(args.n, cfg, "n")
-    seed = _pick(args.seed, cfg, "seed", 0)
-    if n is None:
-        return _usage_error("mc-alpha needs --n (N = n * nu)")
+    params = _jump_params(args, _load_config(args.config), 2, "mc-alpha needs --n (N = n * nu)")
+    nu, n, seed, N = params.nu, params.n, params.seed, params.N
     if args.trials < 1:
         return _usage_error("--trials must be >= 1")
-    try:
-        params = JumpParams(nu=nu, n=n, seed=seed)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     if not 0 < args.p_budget <= 1:
         return _usage_error("--p-budget must be in (0, 1]")
-    N = params.N
     try:
         s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
     except ValueError as exc:

@@ -153,36 +153,23 @@ def cycle_graph(n: int) -> Graph:
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _aoe_rows(g: Graph) -> list[int]:
-    # adjacent-or-equal rows: adjacency with the diagonal filled in
-    return [row | (1 << v) for v, row in enumerate(g.adj)]
-
-
 def strong_product(g: Graph, h: Graph, cap: int = DEFAULT_CAP) -> Graph:
     """Strong product: (a,b) ~ (a',b') iff distinct and adjacent-or-equal in
     both coordinates. Vertex (a,b) gets flat index a*|V(h)| + b."""
     n = g.n * h.n
     if n > cap:
         raise CapExceeded(f"product has {n} vertices, cap is {cap}")
-    g_aoe = _aoe_rows(g)
-    h_aoe = _aoe_rows(h)
-    adj = [0] * n
-    for a in range(g.n):
-        row_a = g_aoe[a]
-        # block row: for every a' adjacent-or-equal to a, paste h's aoe row
-        blocks = {}
-        for b in range(h.n):
-            acc = 0
-            hb = h_aoe[b]
-            ra = row_a
-            while ra:
-                low = ra & -ra
-                ra ^= low
-                acc |= hb << ((low.bit_length() - 1) * h.n)
-            blocks[b] = acc
-        for b in range(h.n):
-            idx = a * h.n + b
-            adj[idx] = blocks[b] & ~(1 << idx)
+    h_aoe = [row | (1 << b) for b, row in enumerate(h.adj)]  # adjacent-or-equal rows
+    adj: list[int] = []
+    for a, row_a in enumerate(g.adj):
+        # spread has bit a' * |V(h)| per a' adjacent-or-equal to a: h_aoe[b] * spread
+        # pastes the |V(h)|-bit row b once per block, with no overlap or carry
+        spread = 1 << a * h.n
+        while row_a:
+            low = row_a & -row_a
+            row_a ^= low
+            spread |= 1 << (low.bit_length() - 1) * h.n
+        adj.extend((hb * spread) ^ (1 << (a * h.n + b)) for b, hb in enumerate(h_aoe))
     return Graph(n, adj)
 
 

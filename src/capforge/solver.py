@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,7 +236,7 @@ def _colour(cands: int, kmin: int, nonadj: list[int]) -> tuple[list[int], list[i
     return order, colors
 
 
-def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nodes, deadline, found):
+def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nodes, deadline, found, stop=None):
     """The branch and bound below the node ``(r_mask, size, cands)``, which it
     enters first: ``r_mask`` is the clique so far, of ``size`` vertices, and
     ``cands`` the vertices that extend it.
@@ -244,7 +245,8 @@ def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nod
     ``(nodes, size, mask)``, ``nodes`` being the nodes entered so far.
     Returns the nodes entered and how the search ended: ``"done"`` (searched
     to the end), ``"hit"`` (a clique of ``target`` vertices found) or
-    ``"cut"`` (``max_nodes`` or the absolute ``deadline`` reached).
+    ``"cut"`` (``max_nodes`` or the absolute ``deadline`` reached, or the
+    ``stop`` event set; both are looked at every 64 nodes).
 
     The search keeps its own stack of nodes, so its depth is limited by the
     vertex count, not by the interpreter's recursion limit.
@@ -259,7 +261,9 @@ def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nod
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return nodes, "cut"
-            if deadline is not None and nodes & 63 == 0 and time.perf_counter() > deadline:
+            if nodes & 63 == 0 and (
+                (deadline is not None and time.perf_counter() > deadline) or (stop is not None and stop.is_set())
+            ):
                 return nodes, "cut"
             cutoff = best if best > floor_prune else floor_prune
             coloured = _colour(cands, cutoff - size, nonadj)
@@ -308,10 +312,10 @@ def _init_worker(*args) -> None:
 
 
 def _search_child(child: tuple[int, int]) -> tuple[int, list, str]:
-    adj, nonadj, best, floor_prune, target, max_nodes, deadline = _WORKER_ARGS
+    adj, nonadj, best, floor_prune, target, max_nodes, deadline, stop = _WORKER_ARGS
     r_mask, cands = child
     found: list = []
-    nodes, state = _search(adj, nonadj, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found)
+    nodes, state = _search(adj, nonadj, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found, stop)
     return nodes, found, state
 
 
@@ -370,16 +374,19 @@ def _split_search(adj, nonadj, full, best, floor_prune, target, max_nodes, deadl
     if not children:
         return nodes, "done"
     child_budget = None if max_nodes is None else max_nodes - nodes
-    pool = multiprocessing.Pool(
+    stop = multiprocessing.Event()
+    pool = ProcessPoolExecutor(
         min(workers, len(children)),
         initializer=_init_worker,
-        initargs=(adj, nonadj, best, floor_prune, target, child_budget, deadline),
+        initargs=(adj, nonadj, best, floor_prune, target, child_budget, deadline, stop),
     )
     try:
-        return _merge(pool.imap(_search_child, children), best, max_nodes, found)
+        return _merge(pool.map(_search_child, children), best, max_nodes, found)
     finally:
-        pool.terminate()
-        pool.join()
+        # Unstarted subtrees are dropped and running ones see ``stop``. No worker is
+        # killed: one killed mid-write would leave the result queue locked for ever.
+        stop.set()
+        pool.shutdown(cancel_futures=True)
 
 
 def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResult:

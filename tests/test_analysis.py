@@ -12,7 +12,9 @@ from capforge import (
     JumpParams,
     MultiJumpSpec,
     SolverBudget,
+    alpha_bracket,
     alpha_threshold,
+    clique_cover_upper_bound,
     class_index,
     cycle_graph,
     edge_probability,
@@ -22,6 +24,7 @@ from capforge import (
     filter_representatives,
     first_moment_bound,
     independence_series,
+    jump_target,
     make_graph,
     multi_jump_product,
     pair_profile,
@@ -370,6 +373,15 @@ class TestIndependenceSeries:
         assert e1.alpha_upper is not None  # clique cover still bounds it
         assert e1.alpha_lower >= 1
 
+    def test_budget_cut_incumbent_is_labelled_branch_and_bound(self):
+        # 3 nodes of B&B find a set larger than any single vertex; no local
+        # search runs at k=1 when the power is solved
+        rng = random.Random(3)
+        g = make_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.2])
+        (e1,) = independence_series(g, 1, mode="auto", budget=SolverBudget(max_nodes=3)).entries
+        assert e1.alpha_exact is None and e1.alpha_lower > 1
+        assert e1.method == ("branch_and_bound",)
+
     def test_lower_bound_upgrade_never_decreases(self):
         cg = sample_jump_graph(JumpParams(nu=2, n=3, seed=4))
         cert_rep = independence_series(cg, 2, mode="certificate_only")
@@ -405,3 +417,38 @@ class TestIndependenceSeries:
             independence_series(cycle_graph(5), 2, mode="magic")
         with pytest.raises(ValueError):
             independence_series(cycle_graph(5), 0)
+
+
+def test_jump_target_is_the_least_s_with_s_to_the_nu_at_least_n():
+    for nu in range(2, 7):
+        s = 1
+        for N in range(1, 5001):
+            while s**nu < N:
+                s += 1
+            assert jump_target(N, nu) == s, (N, nu)
+
+
+class TestAlphaBracket:
+    def _refute_256(self):
+        return sample_jump_graph(JumpParams(nu=2, n=128, seed=0)).graph
+
+    def test_exact_gives_the_size_twice(self):
+        lo, hi, res = alpha_bracket(cycle_graph(7))
+        assert (lo, hi, res.status) == (3, 3, "exact")
+
+    def test_refutation_gives_the_certified_bound(self):
+        lo, hi, res = alpha_bracket(self._refute_256(), SolverBudget(target=16))
+        assert (lo, hi, res.status) == (7, 15, "upper_bound_certified")
+        assert clique_cover_upper_bound(self._refute_256()) >= 15
+
+    def test_certified_bound_never_above_the_clique_cover(self):
+        # alpha(K_5) = 1: refuting 3 certifies 2, above the cover's 1
+        lo, hi, res = alpha_bracket(make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]), SolverBudget(target=3))
+        assert (lo, hi, res.status, res.certified_upper) == (1, 1, "upper_bound_certified", 2)
+
+    @pytest.mark.parametrize("budget", [SolverBudget(max_nodes=5), SolverBudget(target=11)], ids=["node-budget", "target-hit"])
+    def test_lower_bound_gives_the_clique_cover(self, budget):
+        g = self._refute_256()
+        lo, hi, res = alpha_bracket(g, budget)
+        assert res.status == "lower_bound" and res.certified_upper is None
+        assert (lo, hi) == (res.size, clique_cover_upper_bound(g))

@@ -1,4 +1,8 @@
+import csv
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -394,3 +398,63 @@ def test_bad_budget_flag_rejected_by_every_command(tmp_path, capsys):
     assert _one_line_error(capsys) == "capforge: error: --budget-nodes must be >= 0"
     assert run("jump-demo", "--n", "8", "--budget-secs", "nan") == 1
     assert _one_line_error(capsys) == "capforge: error: --budget-secs must be a finite number >= 0"
+
+
+# Each command declares only the common flags it reads; these are the others.
+_DROPPED_FLAGS = [
+    ("construct", "--budget-nodes", "5"),
+    ("construct", "--budget-secs", "1"),
+    ("construct", "--threads", "3"),
+    ("series", "--seed", "1"),
+    ("series", "--threads", "3"),
+    ("series", "--config", "cfg.json"),
+    ("jump-demo", "--cap", "100"),
+    ("multi-jump", "--budget-nodes", "5"),
+    ("multi-jump", "--budget-secs", "1"),
+    ("multi-jump", "--threads", "3"),
+    ("mc-alpha", "--cap", "100"),
+    ("verify", "--seed", "1"),
+    ("verify", "--out", "x"),
+    ("verify", "--cap", "100"),
+    ("verify", "--budget-nodes", "5"),
+    ("verify", "--budget-secs", "1"),
+    ("verify", "--threads", "3"),
+    ("verify", "--config", "cfg.json"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _DROPPED_FLAGS, ids=[f"{c} {f}" for c, f, _ in _DROPPED_FLAGS])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "2", "--out", str(g)) == 0
+    positional = {
+        "construct": ("--nu", "2", "--n", "2", "--out", str(tmp_path / "c.col")),
+        "series": (str(g),),
+        "jump-demo": ("--n", "8"),
+        "multi-jump": ("--nus", "2,3", "--n1", "2"),
+        "mc-alpha": ("--n", "8", "--trials", "2"),
+        "verify": (str(g),),
+    }[command]
+    capsys.readouterr()
+    assert run(command, *positional, flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+def test_jump_sweep_rows_are_jump_demo_reports(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "jump_sweep.py"
+    sweep = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", [str(script), "--sizes", "4,8", "--seeds", "2", "--out", str(sweep)])
+    runpy.run_path(str(script), run_name="__main__")
+    with open(sweep, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["N"], r["seed"]) for r in rows] == [("8", "0"), ("8", "1"), ("16", "0"), ("16", "1")]
+    for row in rows:
+        out = tmp_path / "demo.json"
+        assert run("jump-demo", "--n", str(int(row["N"]) // 2), "--seed", row["seed"], "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        alpha1 = report["alpha1"]
+        assert (int(row["alpha_lo"]), int(row["alpha_hi"]), row["status"]) == (alpha1["lower"], alpha1["upper"], alpha1["status"])
+        assert float(row["a_nu_floor"]) == round(report["certificate"]["a_k_lower"], 4)
+        assert float(row["union_bound"]) == report["first_moment"]["bound"]

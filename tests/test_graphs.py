@@ -120,6 +120,14 @@ class TestStrongProduct:
                 exp = (a1 == a2 or g.adjacent(a1, a2)) and (b1 == b2 or h.adjacent(b1, b2))
                 assert p.adjacent(a1 * 2 + b1, a2 * 2 + b2) == exp
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_strategy(max_n=9), graphs_strategy(max_n=9))
+    def test_matches_the_definition(self, g, h):
+        p = strong_product(g, h)
+        for (a1, b1), (a2, b2) in itertools.product(itertools.product(range(g.n), range(h.n)), repeat=2):
+            exp = (a1, b1) != (a2, b2) and (a1 == a2 or g.adjacent(a1, a2)) and (b1 == b2 or h.adjacent(b1, b2))
+            assert p.adjacent(a1 * h.n + b1, a2 * h.n + b2) == exp
+
     @settings(max_examples=30, deadline=None)
     @given(graphs_strategy(max_n=4), graphs_strategy(max_n=4))
     def test_commutative_up_to_alpha(self, g, h):

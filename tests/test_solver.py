@@ -26,7 +26,7 @@ from capforge import (
     sample_jump_graph,
     strong_product,
 )
-from capforge.solver import _merge
+from capforge.solver import _merge, _search
 
 
 def random_graph(n: int, density: float, seed: int):
@@ -389,7 +389,7 @@ class TestRootSplit:
         assert _merge(results(), 2, None, found) == (73, state)
         assert found == [(67, 3, 0b01)]
 
-    @pytest.mark.parametrize(
+    _EARLY_STOPS = pytest.mark.parametrize(
         "budget",
         [
             SolverBudget(target=11, workers=2),  # target hit after 1,058 nodes
@@ -398,10 +398,42 @@ class TestRootSplit:
         ],
         ids=["target-hit", "node-budget", "deadline"],
     )
+
+    @_EARLY_STOPS
     def test_no_worker_outlives_the_solve(self, budget):
         res = max_independent_set(_refute_256(0), budget)
         assert res.status == "lower_bound"
         assert multiprocessing.active_children() == []
+
+    @_EARLY_STOPS
+    def test_no_worker_is_killed(self, budget, monkeypatch):
+        # A worker killed while it writes its result leaves the result queue
+        # locked, and tearing the pool down then waits on that lock for ever.
+        killed = []
+
+        def recording(method):
+            def call(process):
+                killed.append(method.__name__)
+                return method(process)
+
+            return call
+
+        base = multiprocessing.process.BaseProcess
+        for method in (base.terminate, base.kill):
+            monkeypatch.setattr(base, method.__name__, recording(method))
+        assert max_independent_set(_refute_256(0), budget).status == "lower_bound"
+        assert killed == []
+
+    def test_search_stops_within_64_nodes_of_the_stop_event(self):
+        # how the parent halts the subtrees still running once the merge is done
+        g = _refute_256(0)  # refuting 16 takes 3,393 nodes
+        adj = g.complement_adjacency()
+        full = (1 << g.n) - 1
+        nonadj = [0] + [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+        stop = multiprocessing.Event()
+        assert _search(adj, nonadj, 0, 0, full, 1, 15, 16, None, None, [], stop)[1] == "done"
+        stop.set()
+        assert _search(adj, nonadj, 0, 0, full, 1, 15, 16, None, None, [], stop) == (64, "cut")
 
     def test_node_budget_cut_matches_sequential(self):
         g = _refute_256(0)
