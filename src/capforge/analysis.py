@@ -21,7 +21,10 @@ from .constructions import (
 from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
 from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
-CERT_MATERIALIZE_LIMIT = 1_000_000  # above this, report the closed-form size only
+# The largest k_max a series takes: its product bounds cost k_max**2 / 4
+# multiplications, and the k-th root of a bound for a larger k can exceed
+# float range.
+SERIES_K_LIMIT = 64
 
 
 @dataclass
@@ -147,6 +150,10 @@ def alpha_threshold(nu: int, N: int, p_budget: float, trials: int = 1) -> int:
     """Smallest s whose union bound, scaled by the trial count, drops below
     p_budget. The bound is eventually strictly decreasing, so the first hit
     is the threshold."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 < p_budget <= 1:
+        raise ValueError("p_budget must be in (0, 1]")
     for s in range(2, N + 1):
         if first_moment_bound(nu, N, s) * trials < p_budget:
             return s
@@ -326,6 +333,8 @@ def independence_series(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if k_max > SERIES_K_LIMIT:
+        raise ValueError(f"k_max must be <= {SERIES_K_LIMIT}")
     if mode not in ("exact", "auto", "certificate_only"):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(g, ConstructedGraph):
@@ -346,13 +355,11 @@ def independence_series(
         best_lb = 1  # any single vertex
         cert: set = set()
         cert_size = certificate_size_for(cg, k) if cg is not None else 0
-        if 0 < cert_size <= CERT_MATERIALIZE_LIMIT:
+        if 0 < cert_size <= CERT_VERIFY_LIMIT:
             cert = certificate_for(cg, k)
             assert len(cert) == cert_size
-            if cert_size <= CERT_VERIFY_LIMIT:
-                view = power_view(base, k)
-                if not is_independent(view, cert):
-                    raise AssertionError(f"certificate for k={k} failed verification")
+            if not is_independent(power_view(base, k), cert):
+                raise AssertionError(f"certificate for k={k} failed verification")
         if cert_size > best_lb:
             best_lb = cert_size
             methods = {"certificate"}

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import analysis, constructions, io as gio
 from .constructions import (
     JumpParams,
-    _is_int,
     MultiJumpSpec,
+    check_fields,
     explicit_power_set,
     multi_jump_product,
     sample_jump_graph,
@@ -105,44 +105,17 @@ def build_parser() -> _Parser:
     return p
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(x) for x in value)
-
-
-# The config keys the commands read, each with its type check and the type's name.
-_CONFIG_TYPES = {
-    "construction": (lambda v: isinstance(v, str), "a string"),
-    "nu": (_is_int, "an integer"),
-    "n": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "n1": (_is_int, "an integer"),
-    "N1": (_is_int, "an integer"),
-    "alpha": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "nus": (_is_int_list, "a list of integers"),
-    "seeds": (_is_int_list, "a list of integers"),
-}
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read config {path}: {exc}"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise SystemExit(_usage_error(f"config {path} must hold a JSON object"))
-    for key, value in cfg.items():
-        if key in _CONFIG_TYPES:
-            ok, kind = _CONFIG_TYPES[key]
-            if not ok(value):
-                raise SystemExit(_usage_error(f"config {path}: {key!r} must be {kind}, got {value!r}"))
+        raise ValueError(f"config {path} must hold a JSON object")
+    check_fields(cfg, f"config {path}:")
     return cfg
-
-
-def _usage_error(msg: str) -> int:
-    print(f"capforge: error: {msg}", file=sys.stderr)
-    return 1
 
 
 def _pick(flag, cfg: dict, key: str, default=None):
@@ -158,22 +131,8 @@ def _resolve_cap(flag) -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(_usage_error(f"CAPFORGE_CAP must be an integer, got {env!r}")) from None
+            raise ValueError(f"CAPFORGE_CAP must be an integer, got {env!r}") from None
     return DEFAULT_CAP
-
-
-_BUDGET_FLAGS = {"max_nodes": "--budget-nodes", "max_time": "--budget-secs", "workers": "--threads"}
-
-
-def _bad_common_flag(args) -> str | None:
-    """The complaint about the first budget or thread flag that holds a value
-    no command can use, or None: SolverBudget's own, in flag names."""
-    try:
-        _budget(args, workers=getattr(args, "threads", 1))
-    except ValueError as exc:
-        field, _, complaint = str(exc).partition(" ")
-        return f"{_BUDGET_FLAGS[field]} {complaint}"
-    return None
 
 
 def _budget(args, **fields) -> SolverBudget:
@@ -183,39 +142,32 @@ def _budget(args, **fields) -> SolverBudget:
 
 
 def _jump_params(args, cfg: dict, default_nu: int | None, needs: str) -> JumpParams:
-    """The one-jump parameters that flags and config describe. A missing
-    ``nu`` or ``n`` exits 1 with ``needs``, an invalid value with its error."""
+    """The one-jump parameters that flags and config describe; a missing
+    ``nu`` or ``n`` raises ValueError with ``needs``."""
     nu = _pick(args.nu, cfg, "nu", default_nu)
     n = _pick(args.n, cfg, "n")
     if nu is None or n is None:
-        raise SystemExit(_usage_error(needs))
-    try:
-        return JumpParams(nu=nu, n=n, seed=_pick(args.seed, cfg, "seed", 0))
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc))) from None
+        raise ValueError(needs)
+    return JumpParams(nu=nu, n=n, seed=_pick(args.seed, cfg, "seed", 0))
 
 
 def _product(args, cfg: dict, cap: int, needs: str):
     """Sample the multi-jump product that flags and config describe; configs
-    may give the first factor's size as N1 = n1 * nus[0]. Usage errors exit 1."""
+    may give the first factor's size as N1 = n1 * nus[0]."""
     nus = _pick(args.nus, cfg, "nus")
     alpha = _pick(args.alpha, cfg, "alpha", 1.5)
     n1 = _pick(args.n1, cfg, "n1")
     if n1 is None and "N1" in cfg:
-        if not nus or cfg["N1"] % nus[0]:
-            raise SystemExit(_usage_error(f"config N1={cfg['N1']} is not a multiple of the first jump index"))
+        if not nus or not nus[0] or cfg["N1"] % nus[0]:
+            raise ValueError(f"config N1={cfg['N1']} is not a multiple of the first jump index")
         n1 = cfg["N1"] // nus[0]
     if nus is None or n1 is None:
-        raise SystemExit(_usage_error(f"{needs} needs --nus and --n1"))
+        raise ValueError(f"{needs} needs --nus and --n1")
     seeds = _pick(args.seeds, cfg, "seeds")
     if seeds is None:
         base = _pick(args.seed, cfg, "seed", 0)
         seeds = [base + i for i in range(len(nus))]
-    try:
-        spec = MultiJumpSpec(nus=tuple(nus), n1=n1, alpha=alpha, seeds=tuple(seeds))
-        return multi_jump_product(spec, cap=cap)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc))) from None
+    return multi_jump_product(MultiJumpSpec(nus=tuple(nus), n1=n1, alpha=alpha, seeds=tuple(seeds)), cap=cap)
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -241,7 +193,7 @@ def cmd_construct(args) -> int:
         cg = sample_simple_jump_graph(params) if kind == "simple" else sample_jump_graph(params)
         resolved = {"construction": kind, "nu": params.nu, "n": params.n, "seed": params.seed, "cap": cap}
     if args.out is None:
-        return _usage_error("construct needs --out")
+        raise ValueError("construct needs --out")
     meta = cg.metadata()
     meta["config"] = resolved
     gio.write_graph(cg.graph, args.out, metadata=meta)
@@ -252,22 +204,14 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _load_constructed(path: str):
-    """The graph file, rebuilt as its construction when a sidecar is present."""
-    g = gio.read_graph(path)
-    meta = gio.read_metadata(path)
-    return g if meta is None else constructions.from_metadata(g, meta)
-
-
 def cmd_series(args) -> int:
     cap = _resolve_cap(args.cap)
     mode = args.mode.replace("-", "_")
-    if args.k_max < 1:
-        return _usage_error("--k-max must be >= 1")
-    try:
-        target = _load_constructed(args.graph)
-    except (OSError, gio.GraphFormatError, ValueError, KeyError) as exc:
-        return _usage_error(f"cannot load {args.graph}: {exc}")
+    try:  # the graph, rebuilt as its construction when a sidecar is present
+        g, meta = gio.read_graph(args.graph), gio.read_metadata(args.graph)
+        target = g if meta is None else constructions.from_metadata(g, meta)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load {args.graph}: {exc}") from None
     report = analysis.independence_series(target, args.k_max, mode=mode, budget=_budget(args), cap=cap)
     out = report.to_dict()
     out["config"] = {
@@ -345,8 +289,6 @@ def cmd_multi_jump(args) -> int:
     cg = _product(args, cfg, cap, "multi-jump")
     spec = cg.params
     k_max = args.k_max if args.k_max is not None else spec.nus[-1]
-    if k_max < 1:
-        return _usage_error("--k-max must be >= 1")
     report = analysis.independence_series(cg, k_max, mode="certificate_only", cap=cap)
     rows = []
     print(f"product graph: N={cg.graph.n}, factor sizes {spec.sizes()}, jumps at {list(spec.nus)}")
@@ -375,15 +317,8 @@ def _mc_trial(task: tuple[int, int, int, SolverBudget]) -> tuple[int, str]:
 def cmd_mc_alpha(args) -> int:
     params = _jump_params(args, _load_config(args.config), 2, "mc-alpha needs --n (N = n * nu)")
     nu, n, seed, N = params.nu, params.n, params.seed, params.N
-    if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
-    if not 0 < args.p_budget <= 1:
-        return _usage_error("--p-budget must be in (0, 1]")
-    try:
-        s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    budget = _budget(args)
+    s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
+    budget = _budget(args, workers=args.threads)
     tasks = [(nu, n, seed + i, budget) for i in range(args.trials)]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
@@ -422,12 +357,12 @@ def cmd_mc_alpha(args) -> int:
 def _verify_checks(path: str):
     try:
         g = gio.read_graph(path)
-    except (OSError, gio.GraphFormatError) as exc:
+    except (OSError, ValueError) as exc:
         return [("graph file parses", False, str(exc))]
     checks = [("graph file parses", True, "")]
     try:
         meta = gio.read_metadata(path)
-    except gio.GraphFormatError as exc:
+    except ValueError as exc:
         return checks + [("metadata parses", False, str(exc))]
     if meta is None:
         return checks + [("metadata sidecar present", False, f"missing {gio.meta_path(path)}")]
@@ -448,15 +383,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# The library names a bad value's parameter first; these are its flags.
+_FLAGS = {
+    "max_nodes": "--budget-nodes",
+    "max_time": "--budget-secs",
+    "workers": "--threads",
+    "k_max": "--k-max",
+    "p_budget": "--p-budget",
+    "trials": "--trials",
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    bad = _bad_common_flag(args)
-    if bad is not None:
-        return _usage_error(bad)
+    """Run one command and return its exit code; every refused value is one
+    ``capforge: error:`` line and exit 1."""
     handlers = {
         "construct": cmd_construct,
         "series": cmd_series,
@@ -466,11 +406,16 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except OSError as exc:
         print(f"capforge: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OverflowError) as exc:
+        name, sep, rest = str(exc).partition(" ")
+        print(f"capforge: error: {_FLAGS.get(name, name)}{sep}{rest}", file=sys.stderr)
         return 1
 
 

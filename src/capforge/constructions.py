@@ -45,6 +45,8 @@ class JumpParams:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not (0 <= self.seed < 1 << 64):
             raise ValueError("seed must fit in 64 bits")
+        if self.N >= 1 << 63:
+            raise ValueError(f"n * nu must fit in 64 bits, got {self.N}")
 
     @property
     def N(self) -> int:
@@ -166,17 +168,20 @@ class MultiJumpSpec:
         self.nus = tuple(self.nus)
         self.seeds = tuple(self.seeds)
         if not self.nus:
-            raise ValueError("need at least one jump index")
+            raise ValueError("nus must hold at least one jump index")
         if any(v < 2 for v in self.nus):
-            raise ValueError("every jump index must be >= 2")
+            raise ValueError(f"nus must all be >= 2, got {self.nus}")
         if any(a >= b for a, b in zip(self.nus, self.nus[1:])):
-            raise ValueError(f"jump indices must be strictly increasing, got {self.nus}")
+            raise ValueError(f"nus must be strictly increasing, got {self.nus}")
         if self.n1 < 2:
-            raise ValueError("n1 must be >= 2")
+            raise ValueError(f"n1 must be >= 2, got {self.n1}")
+        if not -math.inf < self.alpha < math.inf:  # math.isfinite overflows on a huge int
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if len(self.nus) > 1 and self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if len(self.seeds) != len(self.nus):
-            raise ValueError(f"need {len(self.nus)} seeds, got {len(self.seeds)}")
+            raise ValueError(f"seeds must hold one seed per jump index ({len(self.nus)}), got {len(self.seeds)}")
+        self.factor_params()  # every factor must be a valid JumpParams
 
     @property
     def N1(self) -> int:
@@ -184,18 +189,17 @@ class MultiJumpSpec:
 
     def sizes(self) -> list[int]:
         out = [self.N1]
-        for prev_nu, cur_nu in zip(self.nus, self.nus[1:]):
-            raw = round(math.exp(self.alpha * cur_nu / prev_nu * math.log(out[-1])))
-            out.append(-(-raw // cur_nu) * cur_nu)
+        try:
+            for prev_nu, cur_nu in zip(self.nus, self.nus[1:]):
+                raw = round(math.exp(self.alpha * cur_nu / prev_nu * math.log(out[-1])))
+                out.append(-(-raw // cur_nu) * cur_nu)
+        except OverflowError:
+            raise ValueError(f"alpha={self.alpha} makes a factor size overflow") from None
         return out
 
     def factor_params(self) -> list[JumpParams]:
-        params = []
-        for nu, size, seed in zip(self.nus, self.sizes(), self.seeds):
-            if size % nu or size // nu < 2:
-                raise ValueError(f"factor size {size} not realizable for nu={nu}")
-            params.append(JumpParams(nu=nu, n=size // nu, seed=seed))
-        return params
+        # every size is a multiple of its jump index
+        return [JumpParams(nu=nu, n=size // nu, seed=seed) for nu, size, seed in zip(self.nus, self.sizes(), self.seeds)]
 
 
 @dataclass(eq=False)
@@ -341,11 +345,10 @@ def simple_explicit_set(params: JumpParams, g: ConstructedGraph) -> set[tuple[in
 
 def multi_jump_product(spec: MultiJumpSpec, cap: int = DEFAULT_CAP) -> ConstructedGraph:
     """Strong product of independently sampled canonical jump graphs."""
-    factor_params = spec.factor_params()
-    total = math.prod(p.N for p in factor_params)
+    total = math.prod(spec.sizes())
     if total > cap:
         raise ValueError(f"product would have {total} vertices, cap is {cap}")
-    factors = [sample_jump_graph(p) for p in factor_params]
+    factors = [sample_jump_graph(p) for p in spec.factor_params()]
     g = factors[0].graph
     for f in factors[1:]:
         g = strong_product(g, f.graph, cap=cap)
@@ -412,6 +415,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# The typed fields of a config file or a sidecar: each key's check and the
+# name of the type it wants.
+_FIELDS = {
+    "construction": (lambda v: isinstance(v, str), "a string"),
+    "nu": (_is_int, "an integer"),
+    "n": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "n1": (_is_int, "an integer"),
+    "N1": (_is_int, "an integer"),
+    "alpha": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
+    "nus": (_is_int_list, "a list of integers"),
+    "nu_list": (_is_int_list, "a list of integers"),
+    "seeds": (_is_int_list, "a list of integers"),
+}
+
+
+def check_fields(fields: dict, where: str, keys=None) -> None:
+    """Raise ValueError, prefixed with ``where``, for the first of ``keys``
+    (default: every key of ``fields`` the table knows) whose value has the
+    wrong type. A key of ``keys`` missing from ``fields`` raises KeyError."""
+    for key in fields if keys is None else keys:
+        if key in _FIELDS and not _FIELDS[key][0](fields[key]):
+            raise ValueError(f"{where} {key!r} must be {_FIELDS[key][1]}, got {fields[key]!r}")
+
+
 def _pair_array(removed: list[list[int]]) -> np.ndarray:
     """A sidecar's integer pairs as an (M, 2) int64 array."""
     try:
@@ -422,9 +454,7 @@ def _pair_array(removed: list[list[int]]) -> np.ndarray:
 
 def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:
     """Parameters and removed edges of a canonical or simple sidecar, type-checked."""
-    for key in ("nu", "n", "seed"):
-        if not _is_int(meta[key]):
-            raise ValueError(f"metadata {key!r} must be an integer, got {meta[key]!r}")
+    check_fields(meta, "metadata", ("nu", "n", "seed"))
     removed = meta["removed_edges"]
     if not (
         isinstance(removed, list)
@@ -440,15 +470,8 @@ def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:
 def _product_spec(meta: dict) -> MultiJumpSpec:
     """The spec of a product sidecar, type-checked; its factors must be one
     object per jump index."""
-    for key in ("nu_list", "seeds"):
-        if not (isinstance(meta[key], list) and all(map(_is_int, meta[key]))):
-            raise ValueError(f"metadata {key!r} must be a list of integers, got {meta[key]!r}")
-    if not _is_int(meta["n"]):
-        raise ValueError(f"metadata 'n' must be an integer, got {meta['n']!r}")
-    alpha = meta["alpha"]
-    if not ((_is_int(alpha) or isinstance(alpha, float)) and math.isfinite(alpha)):
-        raise ValueError(f"metadata 'alpha' must be a finite number, got {alpha!r}")
-    spec = MultiJumpSpec(nus=tuple(meta["nu_list"]), n1=meta["n"], alpha=alpha, seeds=tuple(meta["seeds"]))
+    check_fields(meta, "metadata", ("nu_list", "seeds", "n", "alpha"))
+    spec = MultiJumpSpec(nus=tuple(meta["nu_list"]), n1=meta["n"], alpha=meta["alpha"], seeds=tuple(meta["seeds"]))
     factors = meta["factors"]
     if not (isinstance(factors, list) and len(factors) == len(spec.nus) and all(isinstance(f, dict) for f in factors)):
         raise ValueError(f"metadata 'factors' must be a list of {len(spec.nus)} objects, one per jump index")
@@ -457,19 +480,24 @@ def _product_spec(meta: dict) -> MultiJumpSpec:
 
 def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
     """Rebuild a ConstructedGraph from a deserialized graph and its sidecar.
-    Raises ValueError or KeyError on a sidecar that does not describe one."""
+    Raises ValueError or KeyError on a sidecar that does not describe one,
+    before building anything larger than the graph."""
     kind = meta.get("construction")
     if kind in ("canonical", "simple"):
         params, removed = _jump_fields(meta)
+        if params.N != graph.n:
+            raise ValueError(f"metadata n * nu = {params.N} is not the graph's {graph.n} vertices")
         return ConstructedGraph(graph=graph, kind=kind, params=params, removed=removed)
     if kind == "product":
         spec = _product_spec(meta)
-        factors = []
-        for fmeta in meta["factors"]:
-            params, removed = _jump_fields(fmeta)
+        parsed = [_jump_fields(fmeta) for fmeta in meta["factors"]]
+        for fmeta, (params, _) in zip(meta["factors"], parsed):
             if fmeta.get("N") != params.N:
                 raise ValueError(f"factor N={fmeta.get('N')!r} is not n * nu = {params.N}")
-            factors.append(from_metadata(complete_minus(params.N, removed), fmeta))
+        total = math.prod(params.N for params, _ in parsed)
+        if total != graph.n:
+            raise ValueError(f"metadata factor sizes multiply to {total}, not the graph's {graph.n} vertices")
+        factors = [from_metadata(complete_minus(p.N, removed), fmeta) for fmeta, (p, removed) in zip(meta["factors"], parsed)]
         return ConstructedGraph(
             graph=graph, kind="product", params=spec, removed=np.empty((0, 2), np.int64), factors=factors
         )

@@ -95,6 +95,12 @@ def _unpack_rows(rows: list[int], width: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
+def _ints(packed: np.ndarray) -> list[int]:
+    """Each row of a packed little-endian uint8 array as one bitset int."""
+    buf, nbytes = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
 def edge_pairs(edges) -> np.ndarray:
     """Endpoint pairs (an array or an iterable of pairs) as an (M, 2) int64 array."""
     arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -118,8 +124,7 @@ def bitset_rows(n: int, pairs: np.ndarray, complement: bool = False) -> list[int
     if complement:
         np.invert(packed, out=packed)
         packed[:, -1] &= np.uint8((1 << (n % 8 or 8)) - 1)  # the bits of the last byte that are vertices
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+    return _ints(packed)
 
 
 def make_graph(vertex_count: int, edges) -> Graph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, PowerGraphView, is_independent
+from .graphs import Graph, PowerGraphView, _ints, _unpack_rows, is_independent
 
 BRUTE_FORCE_LIMIT = 24
 MITM_LIMIT = 40
@@ -183,20 +183,11 @@ def _relabel(comp: list[int], order: list[int]) -> list[int]:
     """Rows of ``comp`` renumbered so that vertex ``order[i]`` becomes ``i``:
     row i of the result is row ``order[i]`` with its bits moved the same way."""
     n = len(order)
-    nbytes = (n + 7) // 8
     perm = np.array(order, dtype=np.intp)
     rows: list[int] = []
     for start in range(0, n, _RELABEL_BLOCK):
-        block = order[start : start + _RELABEL_BLOCK]
-        raw = b"".join(comp[v].to_bytes(nbytes, "little") for v in block)
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(len(block), nbytes),
-            axis=1,
-            count=n,
-            bitorder="little",
-        )
-        packed = np.packbits(bits[:, perm], axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        bits = _unpack_rows([comp[v] for v in order[start : start + _RELABEL_BLOCK]], n)
+        rows.extend(_ints(np.packbits(bits[:, perm], axis=1, bitorder="little")))
     return rows
 
 
@@ -615,9 +606,8 @@ def local_search_lower_bound(
         t2 = tuple(rng.randrange(base_n) for _ in range(g.k))
         if t1 == t2 or t1 in memset or t2 in memset or adj(t1, t2):
             continue
-        others = [u for u in members if u != v]
-        if all(not adj(t1, u) and not adj(t2, u) for u in others):
-            members = others + [t1, t2]
+        if all(u == v or not (adj(t1, u) or adj(t2, u)) for u in members):
+            members = [u for u in members if u != v] + [t1, t2]
             memset = set(members)
     return MISResult(
         members=frozenset(members),

@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import os
 import runpy
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capforge.cli import main
 from capforge.solver import available_cpus
@@ -458,3 +466,178 @@ def test_jump_sweep_rows_are_jump_demo_reports(tmp_path, monkeypatch, capsys):
         assert (int(row["alpha_lo"]), int(row["alpha_hi"]), row["status"]) == (alpha1["lower"], alpha1["upper"], alpha1["status"])
         assert float(row["a_nu_floor"]) == round(report["certificate"]["a_k_lower"], 4)
         assert float(row["union_bound"]) == report["first_moment"]["bound"]
+
+
+_BIG = str(10**20)
+# Inputs that once escaped as tracebacks, and the one line each now gives.
+_REFUSED = [
+    (("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "inf", "--out", "x.col"), "alpha must be finite, got inf"),
+    (("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "1e5", "--out", "x.col"), "alpha=100000.0 makes a factor size overflow"),
+    (("multi-jump", "--config", "inf.json"), "config inf.json: 'alpha' must be a finite number, got inf"),
+    (("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), "--k-max must be <= 64"),
+    (("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), "--k-max must be <= 64"),
+    (("jump-demo", "--n", _BIG), f"n * nu must fit in 64 bits, got {2 * 10**20}"),
+    (("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must fit in 64 bits, got {2 * 10**20}"),
+]
+
+
+_REFUSED_IDS = ["alpha-inf", "alpha-1e5", "config-alpha-inf", "multi-jump-k-max", "series-k-max", "jump-demo-n", "construct-nu"]
+
+
+@pytest.mark.parametrize("argv,message", _REFUSED, ids=_REFUSED_IDS)
+def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("inf.json").write_text('{"alpha": Infinity, "nus": [2, 3], "n1": 4}')
+    assert run("construct", "--nu", "2", "--n", "4", "--out", "g.col") == 0
+    capsys.readouterr()
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capforge: error: {message}\n"
+
+
+# Fixed pools for the fuzz test below. No pool holds a mid-size vertex count:
+# every product is capped at 200 vertices and every solve at 200 nodes.
+_INTS = ["-1", "0", "1", "2", "3", "8", "12", "x", _BIG]
+_LISTS = ["2,3", "2", "3,2", "2,2", "", "x", "0,3", "1,3"]
+_FLOATS = ["1.5", "0.5", "1", "2", "-1", "0", "inf", "nan", "1e5", "x"]
+_FLAGS = {
+    "--nu": _INTS,
+    "--n": _INTS,
+    "--n1": _INTS,
+    "--nus": _LISTS,
+    "--seeds": _LISTS,
+    "--alpha": _FLOATS,
+    "--seed": ["-1", "0", "7", "x", str(2**64)],
+    "--budget-nodes": ["-1", "0", "1", "50", "200", "x"],
+    "--budget-secs": ["-1", "0", "0.5", "nan", "inf", "x"],
+    "--cap": ["-1", "0", "10", "200", "x"],
+    "--k-max": ["-1", "0", "1", "2", "3", "x", "100000"],
+    "--mode": ["exact", "auto", "certificate-only", "other"],
+    "--trials": ["-1", "0", "1", "2", "3", "x"],
+    "--p-budget": ["-1", "0", "1e-300", "0.001", "1", "2", "nan", "inf", "x"],
+    "--config": ["cfg.json"],
+    "--simple": None,
+    "--multi": None,
+}
+# Per command: a valid run, then the flags a drawn run may change or add
+# (a pool of None is a switch). --cap, --budget-nodes and --threads 1 stay.
+_COMMANDS = {
+    "construct": ("--nu 2 --n 4 --out out.col --cap 200", "--nu --n --multi --simple --nus --n1 --alpha --seeds --seed --config"),
+    "series": ("--budget-nodes 50", "--k-max --mode --budget-nodes --budget-secs --out"),
+    "jump-demo": ("--n 8 --threads 1 --budget-nodes 200", "--nu --n --seed --budget-nodes --budget-secs --config --out"),
+    "multi-jump": ("--nus 2,3 --n1 2 --cap 200", "--nus --n1 --alpha --seeds --k-max --seed --cap --config --out"),
+    "mc-alpha": ("--n 8 --trials 2 --threads 1 --budget-nodes 200", "--nu --n --trials --p-budget --seed --budget-nodes --budget-secs --config --out"),
+    "verify": ("", ""),
+}
+_OUTS = {"construct": "out.col", "series": "rep", "jump-demo": "demo.json", "multi-jump": "mj.json", "mc-alpha": "mc.json"}
+_VALUES = [-1, 0, 1, 2, 3, 8, 12, 10**20, 2**64, "x", "2", None, True, 1.5, math.inf, math.nan,
+           [], [2], [2, 3], [3, 2], ["2"], [[0, 1]], [[0, 10**20]], {}]
+_CONFIG_KEYS = ["construction", "nu", "n", "seed", "n1", "N1", "alpha", "nus", "seeds", "other"]
+_GOOD_CONFIG = {
+    "construction": st.sampled_from(["canonical", "simple", "product"]),
+    "nu": st.sampled_from([2, 3, 10**20]),
+    "n": st.sampled_from([2, 4, 10**20]),
+    "seed": st.sampled_from([0, 7]),
+    "n1": st.sampled_from([2, 3]),
+    "N1": st.sampled_from([4, 5, 6]),
+    "alpha": st.sampled_from([1.5, 2, 1e5, math.inf]),
+    "nus": st.sampled_from([[2, 3], [2], [0, 3]]),
+    "seeds": st.sampled_from([[1, 2], [1]]),
+}
+_SIDECAR_KEYS = ["construction", "nu", "nu_list", "n", "N", "seed", "seeds", "alpha", "sizes", "removed_edges",
+                 "factors", "factors.0.n", "factors.1.nu", "factors.1.removed_edges"]
+_GRAPH_LINES = ["p edge 0 0", "p edge 8 1", f"p edge {_BIG} 1", "p edge x 1", "e 1 1", "e 1 9", "e 0 2", "junk", ""]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    base, optional = _COMMANDS[command]
+    words = base.split()
+    flags = dict(zip(words[::2], words[1::2]))
+    for flag in draw(st.lists(st.sampled_from(optional.split()), unique=True, max_size=3)) if optional else []:
+        flags[flag] = _OUTS[command] if flag == "--out" else draw(st.sampled_from(_FLAGS[flag] or [None]))
+    argv = [command]
+    if command in ("series", "verify"):
+        argv.append(draw(st.sampled_from(["g8.col", "p96.col", "mutated.col", "absent.col"])))
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+_config_text = st.one_of(
+    st.fixed_dictionaries({}, optional=_GOOD_CONFIG).map(json.dumps),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_VALUES), max_size=5).map(json.dumps),
+    st.sampled_from(["[1, 2]", "{", "\xff\xfe"]),
+)
+# (fixture, sidecar key, value): ... deletes the key; the key None puts the
+# value in place of the graph file's second line.
+_mutation = st.one_of(
+    st.tuples(st.sampled_from(["g8.col", "p96.col"]), st.sampled_from(_SIDECAR_KEYS), st.sampled_from(_VALUES + [...])),
+    st.tuples(st.sampled_from(["g8.col", "p96.col"]), st.none(), st.sampled_from(_GRAPH_LINES)),
+)
+
+
+def _mutate(src: Path, dst: Path, key, value) -> None:
+    """Copy the graph file ``src`` and its sidecar to ``dst``, changed at ``key``."""
+    text, meta = src.read_text(), json.loads(meta_path(src).read_text())
+    if key is None:
+        lines = text.splitlines()
+        text = "\n".join([lines[0], value, *lines[2:]]) + "\n"
+    else:
+        *path, last = key.split(".")
+        node = meta
+        for part in path:
+            node = node[int(part)] if isinstance(node, list) else node.get(part, {})  # g8 has no factors
+        if value is ...:
+            node.pop(last, None)
+        else:
+            node[last] = value
+    dst.write_text(text)
+    meta_path(dst).write_text(json.dumps(meta))
+
+
+@pytest.fixture(scope="module")
+def fuzz_fixtures(tmp_path_factory):
+    """A directory holding the N=8 canonical and the N=96 product graph."""
+    d = tmp_path_factory.mktemp("fixtures")
+    assert run("construct", "--nu", "2", "--n", "4", "--seed", "1", "--out", str(d / "g8.col")) == 0
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2", "--out", str(d / "p96.col")) == 0
+    return d
+
+
+@given(argv=_argv(), config=_config_text, mutation=_mutation)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
+    """Random argv, config files and sidecar or graph-file mutations: every
+    run ends with a contract exit code, a refused value with one line, and
+    nothing escapes.
+
+    ``series`` trusts the graph file's edges and the sidecar's construction
+    kind; a certificate that then fails its check raises AssertionError, which
+    is outside this test, so those two mutations go through ``verify``, which
+    checks both."""
+    fixture, key, value = mutation
+    if argv[:2] == ["series", "mutated.col"] and key in (None, "construction"):
+        argv = ["verify", "mutated.col"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("g8.col", "p96.col"):
+            for src in (fuzz_fixtures / name, meta_path(fuzz_fixtures / name)):
+                shutil.copy(src, tmp / src.name)
+        (tmp / "cfg.json").write_text(config)
+        _mutate(fuzz_fixtures / fixture, tmp / "mutated.col", key, value)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1 and not lines[0].startswith("usage:"):  # argparse prints its usage first
+        assert len(lines) == 1, (argv, lines)
