@@ -22,8 +22,8 @@ from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
 from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
 # The largest k_max a series takes: its product bounds cost k_max**2 / 4
-# multiplications, and the k-th root of a bound for a larger k can exceed
-# float range.
+# multiplications, and for a larger k a bound can exceed float range before
+# its k-th root is taken.
 SERIES_K_LIMIT = 64
 
 

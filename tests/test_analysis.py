@@ -339,6 +339,7 @@ class TestIndependenceSeries:
         import capforge.analysis as analysis_mod
 
         monkeypatch.setattr(analysis_mod, "CERT_VERIFY_LIMIT", 10)
+        monkeypatch.setattr(analysis_mod, "certificate_for", lambda cg, k: pytest.fail(f"k={k} materialized"))
         cg = sample_jump_graph(JumpParams(nu=2, n=8, seed=1))  # certificate size 16 > 10
         rep = independence_series(cg, 2, mode="certificate_only")
         assert rep.entries[1].alpha_lower == 16

@@ -471,20 +471,20 @@ def test_jump_sweep_rows_are_jump_demo_reports(tmp_path, monkeypatch, capsys):
 _BIG = str(10**20)
 # Inputs that once escaped as tracebacks, and the one line each now gives.
 _REFUSED = [
-    (("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "inf", "--out", "x.col"), "alpha must be finite, got inf"),
-    (("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "1e5", "--out", "x.col"), "alpha=100000.0 makes a factor size overflow"),
-    (("multi-jump", "--config", "inf.json"), "config inf.json: 'alpha' must be a finite number, got inf"),
-    (("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), "--k-max must be <= 64"),
-    (("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), "--k-max must be <= 64"),
-    (("jump-demo", "--n", _BIG), f"n * nu must fit in 64 bits, got {2 * 10**20}"),
-    (("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must fit in 64 bits, got {2 * 10**20}"),
+    pytest.param(("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "inf", "--out", "x.col"),
+                 "alpha must be finite, got inf", id="alpha-inf"),
+    pytest.param(("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "1e5", "--out", "x.col"),
+                 "alpha=100000.0 makes a factor size overflow", id="alpha-1e5"),
+    pytest.param(("multi-jump", "--config", "inf.json"),
+                 "config inf.json: 'alpha' must be a finite number, got inf", id="config-alpha-inf"),
+    pytest.param(("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), "--k-max must be <= 64", id="multi-jump-k-max"),
+    pytest.param(("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), "--k-max must be <= 64", id="series-k-max"),
+    pytest.param(("jump-demo", "--n", _BIG), f"n * nu must fit in 64 bits, got {2 * 10**20}", id="jump-demo-n"),
+    pytest.param(("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must fit in 64 bits, got {2 * 10**20}", id="construct-nu"),
 ]
 
 
-_REFUSED_IDS = ["alpha-inf", "alpha-1e5", "config-alpha-inf", "multi-jump-k-max", "series-k-max", "jump-demo-n", "construct-nu"]
-
-
-@pytest.mark.parametrize("argv,message", _REFUSED, ids=_REFUSED_IDS)
+@pytest.mark.parametrize("argv,message", _REFUSED)
 def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("inf.json").write_text('{"alpha": Infinity, "nus": [2, 3], "n1": 4}')
@@ -496,12 +496,13 @@ def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, mess
     assert captured.err == f"capforge: error: {message}\n"
 
 
-# Fixed pools for the fuzz test below. No pool holds a mid-size vertex count:
-# every product is capped at 200 vertices and every solve at 200 nodes.
+# Fixed pools for the fuzz test below. No pool holds a mid-size vertex count
+# (a sampled graph has at most 144 vertices, a product at most 200) and every
+# solve is cut at 200 nodes.
 _INTS = ["-1", "0", "1", "2", "3", "8", "12", "x", _BIG]
 _LISTS = ["2,3", "2", "3,2", "2,2", "", "x", "0,3", "1,3"]
 _FLOATS = ["1.5", "0.5", "1", "2", "-1", "0", "inf", "nan", "1e5", "x"]
-_FLAGS = {
+_POOLS = {
     "--nu": _INTS,
     "--n": _INTS,
     "--n1": _INTS,
@@ -521,7 +522,8 @@ _FLAGS = {
     "--multi": None,
 }
 # Per command: a valid run, then the flags a drawn run may change or add
-# (a pool of None is a switch). --cap, --budget-nodes and --threads 1 stay.
+# (a pool of None is a switch). --threads stays 1, and a product command
+# keeps a --cap and a solving command a --budget-nodes from the pools.
 _COMMANDS = {
     "construct": ("--nu 2 --n 4 --out out.col --cap 200", "--nu --n --multi --simple --nus --n1 --alpha --seeds --seed --config"),
     "series": ("--budget-nodes 50", "--k-max --mode --budget-nodes --budget-secs --out"),
@@ -557,7 +559,7 @@ def _argv(draw):
     words = base.split()
     flags = dict(zip(words[::2], words[1::2]))
     for flag in draw(st.lists(st.sampled_from(optional.split()), unique=True, max_size=3)) if optional else []:
-        flags[flag] = _OUTS[command] if flag == "--out" else draw(st.sampled_from(_FLAGS[flag] or [None]))
+        flags[flag] = _OUTS[command] if flag == "--out" else draw(st.sampled_from(_POOLS[flag] or [None]))
     argv = [command]
     if command in ("series", "verify"):
         argv.append(draw(st.sampled_from(["g8.col", "p96.col", "mutated.col", "absent.col"])))
@@ -569,7 +571,7 @@ def _argv(draw):
 _config_text = st.one_of(
     st.fixed_dictionaries({}, optional=_GOOD_CONFIG).map(json.dumps),
     st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_VALUES), max_size=5).map(json.dumps),
-    st.sampled_from(["[1, 2]", "{", "\xff\xfe"]),
+    st.sampled_from(["[1, 2]", "{", b"\xff\xfe"]),
 )
 # (fixture, sidecar key, value): ... deletes the key; the key None puts the
 # value in place of the graph file's second line.
@@ -626,7 +628,7 @@ def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
         for name in ("g8.col", "p96.col"):
             for src in (fuzz_fixtures / name, meta_path(fuzz_fixtures / name)):
                 shutil.copy(src, tmp / src.name)
-        (tmp / "cfg.json").write_text(config)
+        (tmp / "cfg.json").write_bytes(config if isinstance(config, bytes) else config.encode())
         _mutate(fuzz_fixtures / fixture, tmp / "mutated.col", key, value)
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
