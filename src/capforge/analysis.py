@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -20,11 +21,6 @@ from .constructions import (
 )
 from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
 from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
-
-# The largest k_max a series takes: its product bounds cost k_max**2 / 4
-# multiplications, and for a larger k a bound can exceed float range before
-# its k-th root is taken.
-SERIES_K_LIMIT = 64
 
 
 @dataclass
@@ -330,11 +326,13 @@ def independence_series(
     Modes: ``exact`` solves every power that fits the cap; ``auto`` solves
     only cheap powers (<= 4096 vertices) and falls back to bounds;
     ``certificate_only`` never invokes a solver.
+
+    Python writes no int of over ``sys.get_int_max_str_digits()`` digits, so
+    a series refuses one as ``alpha_lower``: up front if the certificate for
+    ``k_max`` is one, else when it reaches one.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if k_max > SERIES_K_LIMIT:
-        raise ValueError(f"k_max must be <= {SERIES_K_LIMIT}")
     if mode not in ("exact", "auto", "certificate_only"):
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(g, ConstructedGraph):
@@ -345,6 +343,10 @@ def independence_series(
         cg = None
         base = g
         graph_meta = {"construction": None, "N": base.n, "edges": base.edge_count()}
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = 10**digits if digits else math.inf
+    if cg is not None and certificate_size_for(cg, k_max) >= too_long:
+        raise ValueError(f"k_max {k_max} is too large: alpha(G^{k_max}) has over {digits} digits, more than Python writes")
 
     auto_limit = 4096
     entries: list[SeriesEntry] = []
@@ -396,6 +398,8 @@ def independence_series(
             if ls.size > best_lb:
                 best_lb = ls.size
                 methods = {"local_search"}
+        if best_lb >= too_long:
+            raise ValueError(f"k_max {k_max} is too large: alpha(G^{k}) has over {digits} digits, more than Python writes")
         lower[k] = best_lb
         if alpha_exact is not None:
             exact[k] = alpha_exact
@@ -405,7 +409,8 @@ def independence_series(
                 alpha_lower=best_lb,
                 alpha_upper=alpha_upper,
                 alpha_exact=alpha_exact,
-                a_k_lower=best_lb ** (1 / k),
+                # in log space once the bound is beyond float range
+                a_k_lower=best_lb ** (1 / k) if best_lb < 2**1023 else math.exp(math.log(best_lb) / k),
                 a_k_upper=alpha_upper ** (1 / k) if alpha_upper is not None else None,
                 method=tuple(sorted(methods)),
                 theory=_theory_for(cg, k),

@@ -46,7 +46,7 @@ class JumpParams:
         if not (0 <= self.seed < 1 << 64):
             raise ValueError("seed must fit in 64 bits")
         if self.N >= 1 << 63:
-            raise ValueError(f"n * nu must fit in 64 bits, got {self.N}")
+            raise ValueError(f"n * nu must be below 2**63, got {self.N}")
 
     @property
     def N(self) -> int:
@@ -193,8 +193,10 @@ class MultiJumpSpec:
             for prev_nu, cur_nu in zip(self.nus, self.nus[1:]):
                 raw = round(math.exp(self.alpha * cur_nu / prev_nu * math.log(out[-1])))
                 out.append(-(-raw // cur_nu) * cur_nu)
-        except OverflowError:
-            raise ValueError(f"alpha={self.alpha} makes a factor size overflow") from None
+        except OverflowError:  # beyond float range
+            out.append(1 << 63)
+        if max(out[1:], default=0) >= 1 << 63:
+            raise ValueError(f"alpha={self.alpha} with n1={self.n1} makes a factor size of 2**63 or more")
         return out
 
     def factor_params(self) -> list[JumpParams]:
@@ -415,23 +417,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
-
-
 # The typed fields of a config file or a sidecar: each key's check and the
 # name of the type it wants.
 _FIELDS = {
     "construction": (lambda v: isinstance(v, str), "a string"),
-    "nu": (_is_int, "an integer"),
-    "n": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "n1": (_is_int, "an integer"),
-    "N1": (_is_int, "an integer"),
     "alpha": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
-    "nus": (_is_int_list, "a list of integers"),
-    "nu_list": (_is_int_list, "a list of integers"),
-    "seeds": (_is_int_list, "a list of integers"),
+    **dict.fromkeys(("nu", "n", "seed", "n1", "N1"), (_is_int, "an integer")),
+    **dict.fromkeys(("nus", "nu_list", "seeds"), (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")),
 }
 
 
@@ -449,7 +441,7 @@ def _pair_array(removed: list[list[int]]) -> np.ndarray:
     try:
         return np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)
     except OverflowError:
-        raise ValueError("metadata 'removed_edges' holds an integer beyond 64 bits") from None
+        raise ValueError("metadata 'removed_edges' holds an integer outside the signed 64-bit range") from None
 
 
 def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:

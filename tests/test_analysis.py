@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from capforge import (
     cycle_graph,
     edge_probability,
     edge_probability_floor,
+    empty_graph,
     equivalence_classes,
     explicit_power_set,
     filter_representatives,
@@ -344,6 +346,26 @@ class TestIndependenceSeries:
         rep = independence_series(cg, 2, mode="certificate_only")
         assert rep.entries[1].alpha_lower == 16
         assert "certificate" in rep.entries[1].method
+
+    def test_a_k_of_a_bound_beyond_float_range(self, monkeypatch):
+        import capforge.analysis as analysis_mod
+
+        monkeypatch.setattr(analysis_mod, "CERT_VERIFY_LIMIT", 1)  # count the certificates only
+        cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))
+        last = independence_series(cg, 700, mode="certificate_only").entries[-1]
+        assert last.alpha_lower == 8**350 > 2**1024
+        assert math.isclose(last.a_k_lower, math.sqrt(8))
+
+    def test_alpha_too_long_to_write_is_refused(self, monkeypatch):
+        """A certificate for G^k_max too long to write is refused before the
+        loop; a bound that grows too long, when the loop reaches it."""
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 2, raising=False)
+        cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))  # certificate 8 ** (k // 2)
+        with pytest.raises(ValueError, match=r"^k_max 6 is too large: alpha\(G\^6\) has over 2 digits"):
+            independence_series(cg, 6, mode="certificate_only")
+        assert independence_series(cg, 5, mode="certificate_only").entries[-1].alpha_lower == 64
+        with pytest.raises(ValueError, match=r"^k_max 3 is too large: alpha\(G\^2\) has over 2 digits"):
+            independence_series(empty_graph(10), 3, mode="exact")  # alpha(G^2) = 100
 
     def test_certificate_only_never_solves(self):
         cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))

@@ -469,24 +469,30 @@ def test_jump_sweep_rows_are_jump_demo_reports(tmp_path, monkeypatch, capsys):
 
 
 _BIG = str(10**20)
+# The k_max that makes alpha_lower too long to write depends on Python's
+# int-to-text limit; these cases run at its default.
+_TOO_LONG = "--k-max 100000 is too large: alpha(G^100000) has over 4300 digits, more than Python writes"
 # Inputs that once escaped as tracebacks, and the one line each now gives.
 _REFUSED = [
     pytest.param(("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "inf", "--out", "x.col"),
                  "alpha must be finite, got inf", id="alpha-inf"),
     pytest.param(("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "1e5", "--out", "x.col"),
-                 "alpha=100000.0 makes a factor size overflow", id="alpha-1e5"),
+                 "alpha=100000.0 with n1=4 makes a factor size of 2**63 or more", id="alpha-1e5"),
+    pytest.param(("construct", "--multi", "--nus", "2,3", "--n1", "4", "--alpha", "20", "--out", "x.col"),
+                 "alpha=20.0 with n1=4 makes a factor size of 2**63 or more", id="alpha-20"),
     pytest.param(("multi-jump", "--config", "inf.json"),
                  "config inf.json: 'alpha' must be a finite number, got inf", id="config-alpha-inf"),
-    pytest.param(("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), "--k-max must be <= 64", id="multi-jump-k-max"),
-    pytest.param(("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), "--k-max must be <= 64", id="series-k-max"),
-    pytest.param(("jump-demo", "--n", _BIG), f"n * nu must fit in 64 bits, got {2 * 10**20}", id="jump-demo-n"),
-    pytest.param(("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must fit in 64 bits, got {2 * 10**20}", id="construct-nu"),
+    pytest.param(("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), _TOO_LONG, id="multi-jump-k-max"),
+    pytest.param(("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), _TOO_LONG, id="series-k-max"),
+    pytest.param(("jump-demo", "--n", _BIG), f"n * nu must be below 2**63, got {2 * 10**20}", id="jump-demo-n"),
+    pytest.param(("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must be below 2**63, got {2 * 10**20}", id="construct-nu"),
 ]
 
 
 @pytest.mark.parametrize("argv,message", _REFUSED)
 def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     Path("inf.json").write_text('{"alpha": Infinity, "nus": [2, 3], "n1": 4}')
     assert run("construct", "--nu", "2", "--n", "4", "--out", "g.col") == 0
     capsys.readouterr()
@@ -494,6 +500,14 @@ def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, mess
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"capforge: error: {message}\n"
+
+
+def test_default_k_max_is_the_largest_jump_index(tmp_path):
+    out = tmp_path / "mj.json"
+    assert run("multi-jump", "--nus", "65", "--n1", "2", "--out", str(out)) == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert [e["k"] for e in entries] == list(range(1, 66))
+    assert (entries[-1]["alpha_lower"], entries[-1]["method"]) == (130, ["certificate"])
 
 
 # Fixed pools for the fuzz test below. No pool holds a mid-size vertex count
@@ -609,12 +623,26 @@ def fuzz_fixtures(tmp_path_factory):
     return d
 
 
+# How a refused value's line starts: its parameter or flag, a command that
+# needs a flag, or the context the CLI or library adds. An internal error
+# that raises ValueError starts otherwise, so main's one exit hides none.
+_REFUSALS = tuple(
+    f"capforge: error: {start}"
+    for start in (
+        "nu ", "n ", "n * nu ", "seed ", "n1 ", "nus ", "alpha ", "alpha=", "seeds ",
+        "--budget-nodes ", "--budget-secs ", "--threads ", "--k-max ", "--p-budget ", "--trials ",
+        "--multi needs ", *(f"{command} needs " for command in _COMMANDS),
+        "cannot load ", "cannot read config ", "config ", "CAPFORGE_CAP ", "product would have ", "no s up to ",
+    )
+)
+
+
 @given(argv=_argv(), config=_config_text, mutation=_mutation)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
     """Random argv, config files and sidecar or graph-file mutations: every
-    run ends with a contract exit code, a refused value with one line, and
-    nothing escapes.
+    run ends with a contract exit code, a refused value with one line that
+    starts as a refusal does (``_REFUSALS``), and nothing escapes.
 
     ``series`` trusts the graph file's edges and the sidecar's construction
     kind; a certificate that then fails its check raises AssertionError, which
@@ -643,3 +671,4 @@ def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
     assert "Traceback" not in err.getvalue(), argv
     if code == 1 and not lines[0].startswith("usage:"):  # argparse prints its usage first
         assert len(lines) == 1, (argv, lines)
+        assert lines[0].startswith(_REFUSALS), (argv, lines)
