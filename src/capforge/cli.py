@@ -212,6 +212,12 @@ def cmd_series(args) -> int:
         target = g if meta is None else constructions.from_metadata(g, meta)
     except (OSError, ValueError, KeyError) as exc:
         raise ValueError(f"cannot load {args.graph}: {exc}") from None
+    if meta is not None:  # the certificate bounds hold only for a verified construction
+        checks = constructions.verify_construction(g, meta)
+        failed = [f"[FAIL] {name}" + (f" ({detail})" if detail else "") for name, ok, detail in checks if not ok]
+        if failed:
+            print(*failed, f"{len(failed)} of {len(checks)} verify checks failed", sep="\n", file=sys.stderr)
+            return 2
     report = analysis.independence_series(target, args.k_max, mode=mode, budget=_budget(args), cap=cap)
     out = report.to_dict()
     out["config"] = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, PowerGraphView, _ints, _unpack_rows, is_independent
+from .graphs import Graph, _ints, _unpack_rows, is_independent
 
 BRUTE_FORCE_LIMIT = 24
 MITM_LIMIT = 40
@@ -468,15 +468,13 @@ def clique_cover_upper_bound(g: Graph) -> int:
     return count
 
 
-def _greedy_is(g: Graph) -> tuple[list[int], int]:
-    order = sorted(range(g.n), key=lambda v: (g.degree(v), v))
+def _greedy_is(g: Graph) -> int:
+    """Bitmask of the set that takes vertices by ascending degree when free."""
     mask = 0
-    members = []
-    for v in order:
+    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
         if not (g.adj[v] & mask):
-            members.append(v)
             mask |= 1 << v
-    return members, mask
+    return mask
 
 
 def _neighbor_union(g: Graph, mask: int) -> int:
@@ -549,68 +547,18 @@ def _local_search_graph(g: Graph, steps: int, rng: random.Random, start_mask: in
     return mask
 
 
-def local_search_lower_bound(
-    g: Graph | PowerGraphView,
-    budget: SolverBudget | None = None,
-    seed: int = 0,
-    warm_start=None,
-) -> MISResult:
-    """Greedy construction plus swap-based local search; never worse than the
-    warm start. On a PowerGraphView the candidate pool is random tuples, so
-    results are a heuristic lower bound only."""
+def local_search_lower_bound(g: Graph, budget: SolverBudget | None = None, seed: int = 0) -> MISResult:
+    """Greedy construction plus swap-based local search; a heuristic lower
+    bound on alpha(g) for a materialized graph."""
+    if not isinstance(g, Graph):
+        raise TypeError(f"expected a Graph, got {type(g).__name__}")
     t0 = time.perf_counter()
     budget = budget or SolverBudget()
     steps = budget.max_nodes if budget.max_nodes is not None else 5000
-    rng = random.Random(seed)
-    if isinstance(g, Graph):
-        if warm_start is not None:
-            start = 0
-            for v in warm_start:
-                start |= 1 << v
-            if not is_independent(g, set(warm_start)):
-                raise ValueError("warm start is not independent")
-        else:
-            _, start = _greedy_is(g)
-        mask = _local_search_graph(g, steps, rng, start)
-        members = frozenset(v for v in range(g.n) if mask >> v & 1)
-        return MISResult(
-            members=members,
-            size=len(members),
-            status="lower_bound",
-            search_nodes=steps,
-            elapsed=time.perf_counter() - t0,
-        )
-    if not isinstance(g, PowerGraphView):
-        raise TypeError(f"expected Graph or PowerGraphView, got {type(g).__name__}")
-    base_n = g.base.n
-    members: list[tuple] = []
-    if warm_start is not None:
-        members = list(dict.fromkeys(tuple(t) for t in warm_start))
-        if not is_independent(g, members):
-            raise ValueError("warm start is not independent")
-    adj = g.adjacent
-    memset = set(members)
-    for _ in range(steps):
-        t = tuple(rng.randrange(base_n) for _ in range(g.k))
-        if t in memset:
-            continue
-        if all(not adj(t, u) for u in members):
-            members.append(t)
-            memset.add(t)
-    # sampled one-out-two-in swaps
-    for _ in range(steps // 4):
-        if not members:
-            break
-        v = members[rng.randrange(len(members))]
-        t1 = tuple(rng.randrange(base_n) for _ in range(g.k))
-        t2 = tuple(rng.randrange(base_n) for _ in range(g.k))
-        if t1 == t2 or t1 in memset or t2 in memset or adj(t1, t2):
-            continue
-        if all(u == v or not (adj(t1, u) or adj(t2, u)) for u in members):
-            members = [u for u in members if u != v] + [t1, t2]
-            memset = set(members)
+    mask = _local_search_graph(g, steps, random.Random(seed), _greedy_is(g))
+    members = frozenset(v for v in range(g.n) if mask >> v & 1)
     return MISResult(
-        members=frozenset(members),
+        members=members,
         size=len(members),
         status="lower_bound",
         search_nodes=steps,

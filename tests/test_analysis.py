@@ -17,6 +17,7 @@ from capforge import (
     alpha_threshold,
     clique_cover_upper_bound,
     class_index,
+    complete_graph,
     cycle_graph,
     edge_probability,
     edge_probability_floor,
@@ -27,6 +28,7 @@ from capforge import (
     first_moment_bound,
     independence_series,
     jump_target,
+    local_search_lower_bound,
     make_graph,
     multi_jump_product,
     pair_profile,
@@ -338,19 +340,45 @@ class TestIndependenceSeries:
         assert rep.monotone_violations == []
 
     def test_oversized_certificates_counted_not_materialized(self, monkeypatch):
-        import capforge.analysis as analysis_mod
+        import capforge.constructions as constructions_mod
 
-        monkeypatch.setattr(analysis_mod, "CERT_VERIFY_LIMIT", 10)
-        monkeypatch.setattr(analysis_mod, "certificate_for", lambda cg, k: pytest.fail(f"k={k} materialized"))
-        cg = sample_jump_graph(JumpParams(nu=2, n=8, seed=1))  # certificate size 16 > 10
-        rep = independence_series(cg, 2, mode="certificate_only")
-        assert rep.entries[1].alpha_lower == 16
-        assert "certificate" in rep.entries[1].method
+        build = constructions_mod.certificate_for
 
-    def test_a_k_of_a_bound_beyond_float_range(self, monkeypatch):
-        import capforge.analysis as analysis_mod
+        def block_only(cg, k):
+            if k != cg.params.nu:
+                pytest.fail(f"k={k} materialized")
+            return build(cg, k)
 
-        monkeypatch.setattr(analysis_mod, "CERT_VERIFY_LIMIT", 1)  # count the certificates only
+        monkeypatch.setattr(constructions_mod, "certificate_for", block_only)
+        cg = sample_jump_graph(JumpParams(nu=2, n=8, seed=1))
+        rep = independence_series(cg, 4, mode="certificate_only")
+        assert [e.alpha_lower for e in rep.entries] == [1, 16, 16, 256]
+        assert rep.entries[3].method == ("certificate", "product_bound")
+
+    def test_a_failed_block_is_refused(self):
+        cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))
+        cg.graph = complete_graph(8)
+        with pytest.raises(ValueError, match=r"^canonical certificate block at k=2 is not independent"):
+            independence_series(cg, 3, mode="certificate_only")
+
+    def test_a_failed_factor_block_is_refused(self):
+        cg = multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8)))
+        assert independence_series(cg, 1, mode="certificate_only").entries[0].alpha_lower == 1
+        cg.factors[1].graph = complete_graph(cg.factors[1].graph.n)
+        with pytest.raises(ValueError, match=r"^product certificate block at k=3 is not independent"):
+            independence_series(cg, 1, mode="certificate_only")
+
+    def test_unsolved_k1_runs_local_search_on_the_base(self):
+        rng = random.Random(14)
+        g = make_graph(20, [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.3])
+        assert local_search_lower_bound(g, SolverBudget(max_nodes=2000), seed=1).size == 8
+        (e1,) = independence_series(g, 1, mode="exact", cap=10).entries  # 20 vertices > cap
+        assert (e1.alpha_lower, e1.alpha_upper, e1.alpha_exact, e1.method) == (8, None, None, ("local_search",))
+        # no steps: the greedy start, 6 vertices
+        (e1,) = independence_series(g, 1, mode="exact", cap=10, budget=SolverBudget(max_nodes=0)).entries
+        assert (e1.alpha_lower, e1.method) == (6, ("local_search",))
+
+    def test_a_k_of_a_bound_beyond_float_range(self):
         cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))
         last = independence_series(cg, 700, mode="certificate_only").entries[-1]
         assert last.alpha_lower == 8**350 > 2**1024

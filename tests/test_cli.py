@@ -332,6 +332,24 @@ def test_malformed_sidecar_fails_verify_and_series(tmp_path, capsys, key, value)
     assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
 
 
+def test_series_refuses_a_file_that_fails_verification(tmp_path, capsys):
+    """A well-formed sidecar that does not describe the graph (a canonical
+    graph relabelled simple) fails verification: exit 2 before any solve,
+    with the failed checks on stderr."""
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "4", "--seed", "1", "--out", str(g)) == 0
+    meta = json.loads(meta_path(g).read_text())
+    meta["construction"] = "simple"
+    meta_path(g).write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("series", str(g), "--k-max", "2", "--mode", "certificate-only") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[FAIL] one removed edge per row pair" in captured.err
+    assert "[FAIL] certificate independent in power view (size 4)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_config_nu_reaches_jump_demo_and_mc_alpha(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu": 3, "n": 4}))
@@ -642,15 +660,8 @@ _REFUSALS = tuple(
 def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
     """Random argv, config files and sidecar or graph-file mutations: every
     run ends with a contract exit code, a refused value with one line that
-    starts as a refusal does (``_REFUSALS``), and nothing escapes.
-
-    ``series`` trusts the graph file's edges and the sidecar's construction
-    kind; a certificate that then fails its check raises AssertionError, which
-    is outside this test, so those two mutations go through ``verify``, which
-    checks both."""
+    starts as a refusal does (``_REFUSALS``), and nothing escapes."""
     fixture, key, value = mutation
-    if argv[:2] == ["series", "mutated.col"] and key in (None, "construction"):
-        argv = ["verify", "mutated.col"]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name in ("g8.col", "p96.col"):

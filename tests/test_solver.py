@@ -16,7 +16,6 @@ from capforge import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    explicit_power_set,
     is_independent,
     local_search_lower_bound,
     make_graph,
@@ -483,54 +482,9 @@ class TestLocalSearch:
         assert is_independent(g, res.members)
         assert res.size <= brute_force_mis(g).size
 
-    def test_view_warm_start_never_shrinks(self):
-        p = JumpParams(nu=2, n=4, seed=2)
-        cg = sample_jump_graph(p)
-        cert = explicit_power_set(p, 2)
-        view = power_view(cg.graph, 2)
-        res = local_search_lower_bound(view, SolverBudget(max_nodes=500), seed=0, warm_start=cert)
-        assert res.size >= p.N
-        assert is_independent(view, res.members)
-
-    def test_view_without_warm_start(self):
-        cg = sample_jump_graph(JumpParams(nu=2, n=3, seed=1))
-        view = power_view(cg.graph, 2)
-        res = local_search_lower_bound(view, SolverBudget(max_nodes=400), seed=3)
-        assert res.size >= 1
-        assert is_independent(view, res.members)
-
-    # sha256 of repr(sorted(members)) per seed: the k=3 view of the N=64 seed-7
-    # graph, warm-started from its certificate (no swap succeeds there)
-    _CERT_START = {
-        0: (102, "9f6e32df34020834"),
-        1: (109, "bf7d2f8e039f7d34"),
-        2: (110, "57a020d985477239"),
-        3: (105, "bbef0967f54ac68a"),
-        4: (101, "32bd6db9fe43d8e7"),
-    }
-    # the k=3 view of the N=8 seed-1 graph with 8 steps; seed 1 swaps twice
-    _SMALL = {
-        0: [(1, 5, 7), (2, 4, 1), (3, 2, 4), (4, 7, 5), (4, 7, 6), (6, 6, 0)],
-        1: [(1, 7, 7), (2, 1, 4), (3, 5, 3), (3, 6, 0), (3, 7, 4), (7, 6, 3)],
-        2: [(0, 1, 1), (2, 6, 6), (4, 3, 0), (5, 2, 4), (5, 7, 4)],
-        3: [(1, 2, 0), (2, 6, 0), (3, 2, 5), (3, 7, 7), (4, 0, 4), (7, 1, 0), (7, 4, 3)],
-        4: [(1, 1, 0), (2, 1, 4), (3, 4, 1), (3, 5, 4), (4, 3, 2), (6, 4, 0), (6, 7, 2)],
-    }
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_view_members_are_pinned(self, seed):
-        p = JumpParams(nu=2, n=32, seed=7)
-        view = power_view(sample_jump_graph(p).graph, 3)
-        res = local_search_lower_bound(view, SolverBudget(max_nodes=2000), seed=seed, warm_start=explicit_power_set(p, 3))
-        digest = hashlib.sha256(repr(sorted(res.members)).encode()).hexdigest()[:16]
-        assert (res.size, digest) == self._CERT_START[seed]
-        small = power_view(sample_jump_graph(JumpParams(nu=2, n=4, seed=1)).graph, 3)
-        res = local_search_lower_bound(small, SolverBudget(max_nodes=8), seed=seed)
-        assert sorted(res.members) == self._SMALL[seed]
-
-    def test_bad_warm_start_rejected(self):
-        with pytest.raises(ValueError):
-            local_search_lower_bound(complete_graph(4), warm_start={0, 1})
+    def test_power_view_refused(self):
+        with pytest.raises(TypeError, match="expected a Graph, got PowerGraphView"):
+            local_search_lower_bound(power_view(cycle_graph(5), 2))
 
     def test_deterministic_given_seed(self):
         g = random_graph(20, 0.4, seed=6)
