@@ -1,6 +1,8 @@
 """capforge: graph constructions whose strong-power independence series jumps,
 with certified solvers, series reports, and an experiment CLI."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     BoundsRecord,
     ClassProfile,
@@ -26,6 +28,7 @@ from .constructions import (
     MultiJumpSpec,
     certificate_for,
     certificate_size_for,
+    check_certificate,
     equivalence_classes,
     expected_class_count,
     explicit_power_set,
@@ -66,62 +69,6 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsRecord",
-    "CapExceeded",
-    "ClassProfile",
-    "ConstructedGraph",
-    "DEFAULT_CAP",
-    "EdgeClass",
-    "Graph",
-    "GraphFormatError",
-    "JumpParams",
-    "MISResult",
-    "MultiJumpSpec",
-    "PowerGraphView",
-    "SeriesEntry",
-    "SeriesReport",
-    "SolverBudget",
-    "alpha_bracket",
-    "alpha_threshold",
-    "available_cpus",
-    "brute_force_mis",
-    "certificate_for",
-    "certificate_size_for",
-    "class_index",
-    "clique_cover_upper_bound",
-    "complete_graph",
-    "cycle_graph",
-    "edge_probability",
-    "edge_probability_floor",
-    "empty_graph",
-    "equivalence_classes",
-    "expected_class_count",
-    "explicit_power_set",
-    "explicit_power_set_size",
-    "filter_representatives",
-    "first_moment_bound",
-    "independence_series",
-    "index_to_tuple",
-    "is_independent",
-    "jump_target",
-    "local_search_lower_bound",
-    "make_graph",
-    "max_independent_set",
-    "mitm_mis",
-    "multi_jump_product",
-    "pair_profile",
-    "power_view",
-    "product_certificate",
-    "purge_full_classes",
-    "read_graph",
-    "read_metadata",
-    "sample_jump_graph",
-    "sample_simple_jump_graph",
-    "simple_explicit_set",
-    "strong_power",
-    "strong_product",
-    "theoretical_bounds",
-    "tuple_to_index",
-    "write_graph",
-]
+# every public name imported above; the submodules stay out, so that a star
+# import does not bind ``io`` over the standard library's
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))

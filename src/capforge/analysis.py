@@ -11,8 +11,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .constructions import ConstructedGraph, JumpParams, MultiJumpSpec, certificate_blocks, certificate_size_for
-from .graphs import DEFAULT_CAP, Graph, is_independent, power_view, strong_power
+from .constructions import ConstructedGraph, JumpParams, MultiJumpSpec, certificate_size_for, check_certificate
+from .graphs import DEFAULT_CAP, Graph, strong_power
 from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
 
@@ -316,14 +316,15 @@ def independence_series(
     solves (when the power materializes under the cap). Degrades methods
     instead of failing.
 
-    A construction's certificate blocks (``certificate_blocks``) are checked
+    A construction's certificate blocks (``check_certificate``) are checked
     once, up front, and raise ValueError naming the kind and k if one is not
     independent; each entry then counts its certificate in closed form.
 
     Modes: ``exact`` solves every power that fits the cap; ``auto`` solves
     only cheap powers (<= 4096 vertices) and falls back to bounds;
     ``certificate_only`` never invokes a solver. Outside ``certificate_only``
-    an unsolved k=1 entry also tries local search on the base graph.
+    an unsolved k=1 entry also tries local search on the base graph. An
+    entry that nothing lifts above one vertex has method ``single_vertex``.
 
     Python writes no int of over ``sys.get_int_max_str_digits()`` digits, so
     a series refuses one as ``alpha_lower``: up front if the certificate for
@@ -336,7 +337,7 @@ def independence_series(
     if isinstance(g, ConstructedGraph):
         cg: ConstructedGraph | None = g
         base = g.graph
-        graph_meta = g.metadata()
+        graph_meta = g.parameters()
     else:
         cg = None
         base = g
@@ -346,8 +347,8 @@ def independence_series(
     if cg is not None:
         if certificate_size_for(cg, k_max) >= too_long:
             raise ValueError(f"k_max {k_max} is too large: alpha(G^{k_max}) has over {digits} digits, more than Python writes")
-        for graph, k, block in certificate_blocks(cg):
-            if not is_independent(power_view(graph, k), block):
+        for k, _, ok in check_certificate(cg):
+            if not ok:
                 raise ValueError(f"{cg.kind} certificate block at k={k} is not independent")
 
     auto_limit = 4096
@@ -402,7 +403,7 @@ def independence_series(
                 # in log space once the bound is beyond float range
                 a_k_lower=best_lb ** (1 / k) if best_lb < 2**1023 else math.exp(math.log(best_lb) / k),
                 a_k_upper=alpha_upper ** (1 / k) if alpha_upper is not None else None,
-                method=tuple(sorted(methods)),
+                method=tuple(sorted(methods)) or ("single_vertex",),
                 theory=_theory_for(cg, k),
             )
         )

@@ -20,12 +20,11 @@ from .constructions import (
     JumpParams,
     MultiJumpSpec,
     check_fields,
-    explicit_power_set,
     multi_jump_product,
     sample_jump_graph,
     sample_simple_jump_graph,
 )
-from .graphs import DEFAULT_CAP, is_independent, power_view
+from .graphs import DEFAULT_CAP
 from .solver import SolverBudget, available_cpus, max_independent_set
 
 
@@ -213,7 +212,7 @@ def cmd_series(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise ValueError(f"cannot load {args.graph}: {exc}") from None
     if meta is not None:  # the certificate bounds hold only for a verified construction
-        checks = constructions.verify_construction(g, meta)
+        checks = constructions.verify_construction(target, meta)
         failed = [f"[FAIL] {name}" + (f" ({detail})" if detail else "") for name, ok, detail in checks if not ok]
         if failed:
             print(*failed, f"{len(failed)} of {len(checks)} verify checks failed", sep="\n", file=sys.stderr)
@@ -249,8 +248,8 @@ def cmd_jump_demo(args) -> int:
     params = _jump_params(args, _load_config(args.config), 2, "jump-demo needs --n (N = n * nu)")
     nu, n, seed, N = params.nu, params.n, params.seed, params.N
     cg = sample_jump_graph(params)
-    cert = explicit_power_set(params, nu)
-    if not is_independent(power_view(cg.graph, nu), cert):
+    ((_, cert_size, cert_ok),) = constructions.check_certificate(cg)
+    if not cert_ok:
         print("certificate failed independence check", file=sys.stderr)
         return 2
     a_nu = N ** (1 / nu)
@@ -269,7 +268,7 @@ def cmd_jump_demo(args) -> int:
             "search_nodes": res.search_nodes,
             "elapsed_secs": round(res.elapsed, 3),
         },
-        "certificate": {"k": nu, "size": len(cert), "a_k_lower": a_nu},
+        "certificate": {"k": nu, "size": cert_size, "a_k_lower": a_nu},
         "a1_upper": alpha1_hi,
         "jump_ratio_lower": (a_nu / alpha1_hi) if alpha1_hi else None,
         "first_moment": {"s": target, "bound": bound},
@@ -277,7 +276,7 @@ def cmd_jump_demo(args) -> int:
         "small_n_caveat": caveat,
     }
     print(f"N={N} nu={nu} seed={seed}")
-    print(f"a_{nu} >= {a_nu:.4f} (certificate of size {len(cert)} in the power view)")
+    print(f"a_{nu} >= {a_nu:.4f} (certificate of size {cert_size} in the power view)")
     print(f"alpha(G) in [{alpha1_lo}, {alpha1_hi}] via {res.status} ({res.search_nodes} nodes, {res.elapsed:.2f}s)")
     print(f"union bound Pr[alpha >= {target}] <= {bound:.3e}")
     if caveat:
@@ -372,7 +371,12 @@ def _verify_checks(path: str):
         return checks + [("metadata parses", False, str(exc))]
     if meta is None:
         return checks + [("metadata sidecar present", False, f"missing {gio.meta_path(path)}")]
-    return checks + [("metadata parses", True, "")] + constructions.verify_construction(g, meta)
+    checks.append(("metadata parses", True, ""))
+    try:
+        cg = constructions.from_metadata(g, meta)
+    except (ValueError, KeyError) as exc:
+        return checks + [("metadata consistent", False, str(exc))]
+    return checks + constructions.verify_construction(cg, meta)
 
 
 def cmd_verify(args) -> int:
@@ -418,6 +422,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     except OSError as exc:
         print(f"capforge: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("capforge: error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except (ValueError, OverflowError) as exc:
         name, sep, rest = str(exc).partition(" ")

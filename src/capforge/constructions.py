@@ -224,7 +224,9 @@ class ConstructedGraph:
         """The deleted pairs as a list of tuples, built on each access."""
         return list(zip(*self.removed.T.tolist()))
 
-    def metadata(self) -> dict:
+    def parameters(self) -> dict:
+        """What the construction is, without its removed edges: kind,
+        sizes and seeds, and for a product each factor's parameters."""
         if self.kind == "product":
             spec = self.params
             return {
@@ -236,17 +238,18 @@ class ConstructedGraph:
                 "sizes": spec.sizes(),
                 "seed": None,
                 "seeds": list(spec.seeds),
-                "removed_edges": [],
-                "factors": [f.metadata() for f in self.factors],
+                "factors": [f.parameters() for f in self.factors],
             }
-        return {
-            "construction": self.kind,
-            "nu": self.params.nu,
-            "n": self.params.n,
-            "N": self.graph.n,
-            "seed": self.params.seed,
-            "removed_edges": self.removed.tolist(),
-        }
+        p = self.params
+        return {"construction": self.kind, "nu": p.nu, "n": p.n, "N": self.graph.n, "seed": p.seed}
+
+    def metadata(self) -> dict:
+        """The sidecar: parameters() plus the removed edges, as the (M, 2)
+        array itself (empty for a product, whose factors carry theirs)."""
+        meta = {**self.parameters(), "removed_edges": self.removed}
+        if self.kind == "product":
+            meta["factors"] = [f.metadata() for f in self.factors]
+        return meta
 
 
 def complete_minus(N: int, removed) -> Graph:
@@ -399,9 +402,11 @@ def certificate_for(cg: ConstructedGraph, k: int) -> set[tuple[int, ...]]:
     raise ValueError(f"unknown construction kind {cg.kind!r}")
 
 
-def certificate_blocks(cg: ConstructedGraph) -> list[tuple[Graph, int, set[tuple[int, ...]]]]:
-    """The blocks every certificate of cg is built from, as (graph, k,
-    members): members should be independent in graph's k-th strong power.
+def check_certificate(cg: ConstructedGraph) -> list[tuple[int, int, bool]]:
+    """The one certificate check: (k, size, independent) for each block
+    every certificate of cg is built from, where independent says whether
+    the block's members are independent in its graph's k-th strong power
+    (checked through the power view).
 
     certificate_for(cg, k) is a strong product of copies of these blocks and
     single tuples, and a strong product of independent sets is independent
@@ -410,8 +415,10 @@ def certificate_blocks(cg: ConstructedGraph) -> list[tuple[Graph, int, set[tuple
     because its graph is the strong product of its factors.
     """
     if cg.kind == "product":
-        return [(f.graph, f.params.nu, explicit_power_set(f.params, f.params.nu)) for f in cg.factors]
-    return [(cg.graph, cg.params.nu, certificate_for(cg, cg.params.nu))]
+        blocks = [(f.graph, f.params.nu, explicit_power_set(f.params, f.params.nu)) for f in cg.factors]
+    else:
+        blocks = [(cg.graph, cg.params.nu, certificate_for(cg, cg.params.nu))]
+    return [(k, len(members), is_independent(power_view(graph, k), members)) for graph, k, members in blocks]
 
 
 def certificate_size_for(cg: ConstructedGraph, k: int) -> int:
@@ -509,20 +516,17 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
-def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
-    """Re-check a graph against its construction sidecar: (name, ok, detail)
-    per check, in a fixed order. Canonical and simple graphs share every
-    check but their structural ones; products are checked factor by factor."""
+def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, bool, str]]:
+    """Re-check a construction that from_metadata rebuilt from a graph and
+    its sidecar ``meta``: (name, ok, detail) per check, in a fixed order.
+    Canonical and simple graphs share every check but their structural
+    ones; products are checked factor by factor."""
     checks = []
 
     def check(name: str, ok: bool, detail: str = ""):
         checks.append((name, bool(ok), detail))
 
-    try:
-        cg = from_metadata(g, meta)
-    except (ValueError, KeyError) as exc:
-        check("metadata consistent", False, str(exc))
-        return checks
+    g = cg.graph
     check("N matches header", meta.get("N") == g.n, f"meta {meta.get('N')} vs file {g.n}")
     if cg.kind == "product":
         spec = cg.params
@@ -536,8 +540,7 @@ def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
             same = f.params == p and np.array_equal(_canonical_removed(p), f.removed)
             check(f"factor nu={p.nu} seed reproduces removed edges", same)
         # sound once the graph is the product of its factors, checked above
-        for factor, k, block in certificate_blocks(cg):
-            ok = is_independent(power_view(factor, k), block)
+        for k, _, ok in check_certificate(cg):
             check(f"certificate at k={k} independent", ok, f"size {certificate_size_for(cg, k)}")
         return checks
 
@@ -572,10 +575,6 @@ def verify_construction(g: Graph, meta: dict) -> list[tuple[str, bool, str]]:
         check("row pairs all distinct", len(row_pairs) == len(removed))
         resample = _simple_removed(cg.params)
     check("seed reproduces removed edges", np.array_equal(resample, removed))
-    ((graph, k, cert),) = certificate_blocks(cg)
-    check(
-        "certificate independent in power view",
-        len(cert) == certificate_size_for(cg, k) and is_independent(power_view(graph, k), cert),
-        f"size {len(cert)}",
-    )
+    ((k, size, ok),) = check_certificate(cg)
+    check("certificate independent in power view", ok and size == certificate_size_for(cg, k), f"size {size}")
     return checks

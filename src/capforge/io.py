@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,28 +59,24 @@ def _write_body(g: Graph, f) -> None:
         f.write(("e %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _is_pair_list(value) -> bool:
-    return (
-        set(map(type, value)) <= {list, tuple}
-        and set(map(len, value)) == {2}
-        and set(map(type, chain.from_iterable(value))) == {int}
-    )
-
-
 def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``indent``;
-    lists of integer pairs, such as removed edges, are printed directly."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``indent``,
+    where an (M, 2) integer array, such as removed edges, prints as the
+    list of its rows, formatted _EDGE_CHUNK pairs at a time."""
     inner = indent + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
         body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
         return "{\n" + body + "\n" + indent + "}"
+    if isinstance(value, np.ndarray):
+        if not len(value):
+            return "[]"
+        deep = inner + "  "
+        pair = f"{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
+        chunks = (value[i : i + _EDGE_CHUNK] for i in range(0, len(value), _EDGE_CHUNK))
+        body = ",\n".join(",\n".join([pair] * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
+        return "[\n" + body + "\n" + indent + "]"
     if isinstance(value, (list, tuple)) and value:
-        if _is_pair_list(value):
-            deep = inner + "  "
-            pair = f"{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
-            body = ",\n".join([pair] * len(value)) % tuple(chain.from_iterable(value))
-        else:
-            body = ",\n".join(inner + _json_text(item, inner) for item in value)
+        body = ",\n".join(inner + _json_text(item, inner) for item in value)
         return "[\n" + body + "\n" + indent + "]"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 

@@ -528,6 +528,79 @@ def test_default_k_max_is_the_largest_jump_index(tmp_path):
     assert (entries[-1]["alpha_lower"], entries[-1]["method"]) == (130, ["certificate"])
 
 
+
+def test_series_and_verify_parse_the_sidecar_once(tmp_path, monkeypatch):
+    from capforge import constructions
+
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "4", "--seed", "1", "--out", str(g)) == 0
+    calls = []
+    parse = constructions.from_metadata
+    monkeypatch.setattr(constructions, "from_metadata", lambda *a: calls.append(a) or parse(*a))
+    assert run("series", str(g), "--k-max", "2", "--mode", "certificate-only") == 0
+    assert len(calls) == 1
+    assert run("verify", str(g)) == 0
+    assert len(calls) == 2
+
+
+def test_series_graph_meta_holds_parameters_only(tmp_path):
+    canonical, product = tmp_path / "c.col", tmp_path / "p.col"
+    assert run("construct", "--nu", "2", "--n", "4", "--seed", "1", "--out", str(canonical)) == 0
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2", "--seeds", "7,8", "--out", str(product)) == 0
+    metas = {}
+    for g in (canonical, product):
+        prefix = tmp_path / f"{g.stem}-rep"
+        assert run("series", str(g), "--k-max", "2", "--mode", "certificate-only", "--out", str(prefix)) == 0
+        metas[g.stem] = json.loads(prefix.with_suffix(".json").read_text())["graph_meta"]
+    assert metas["c"] == {"construction": "canonical", "nu": 2, "n": 4, "N": 8, "seed": 1}
+    p = metas["p"]
+    assert (p["construction"], p["nu_list"], p["n"], p["N"], p["sizes"], p["seeds"]) == ("product", [2, 3], 2, 96, [4, 24], [7, 8])
+    assert p["factors"] == [
+        {"construction": "canonical", "nu": 2, "n": 2, "N": 4, "seed": 7},
+        {"construction": "canonical", "nu": 3, "n": 8, "N": 24, "seed": 8},
+    ]
+    assert "removed_edges" not in p
+
+
+@pytest.mark.parametrize("command", ["verify", "series"])
+def test_memory_error_is_one_line(tmp_path, monkeypatch, capsys, command):
+    from capforge import io as gio
+
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "4", "--out", str(g)) == 0
+    capsys.readouterr()
+
+    def out_of_memory(path):
+        raise MemoryError("Unable to allocate 448. MiB")
+
+    monkeypatch.setattr(gio, "read_graph", out_of_memory)
+    assert run(command, str(g)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "capforge: error: out of memory: Unable to allocate 448. MiB\n")
+
+
+def test_every_entry_names_its_method(tmp_path):
+    out = tmp_path / "mj.json"
+    assert run("multi-jump", "--nus", "2,3", "--n1", "2", "--k-max", "6", "--out", str(out)) == 0
+    entries = json.loads(out.read_text())["entries"]
+    assert entries[0]["method"] == ["single_vertex"]
+    assert all(e["method"] for e in entries)
+    g, prefix = tmp_path / "g.col", tmp_path / "rep"
+    assert run("construct", "--nu", "3", "--n", "3", "--seed", "2", "--out", str(g)) == 0
+    assert run("series", str(g), "--k-max", "4", "--mode", "certificate-only", "--out", str(prefix)) == 0
+    entries = json.loads(prefix.with_suffix(".json").read_text())["entries"]
+    assert [e["method"] for e in entries] == [["single_vertex"], ["product_bound"], ["certificate"], ["certificate", "product_bound"]]
+
+
+def test_series_examples_script(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "series_examples.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--k-max", "2"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("C5 (n=5):") + 2  # past the column header
+    assert [row.split()[1] for row in lines[start : lines.index("", start)]] == ["2", "5"]
+
+
 # Fixed pools for the fuzz test below. No pool holds a mid-size vertex count
 # (a sampled graph has at most 144 vertices, a product at most 200) and every
 # solve is cut at 200 nodes.

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capforge import (
+    ConstructedGraph,
     JumpParams,
     MultiJumpSpec,
+    check_certificate,
+    complete_graph,
     equivalence_classes,
     expected_class_count,
     explicit_power_set,
@@ -258,7 +261,7 @@ class TestMultiJump:
         assert len(meta["factors"]) == 2
         assert meta["factors"][0]["nu"] == 2 and meta["factors"][0]["seed"] == 7
         assert meta["factors"][1]["N"] == 24
-        assert meta["removed_edges"] == []
+        assert meta["removed_edges"].shape == (0, 2)
 
     def test_product_certificate_sizes(self):
         spec = MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))
@@ -314,3 +317,28 @@ def test_all_pairs_between_certificate_members_cover_whole_classes():
     for a, b in itertools.combinations(cert, 2):
         coord_pairs = {(min(x, y), max(x, y)) for x, y in zip(a, b) if x != y}
         assert len(coord_pairs & removed) >= 1
+
+
+def test_check_certificate_reports_each_block():
+    p = JumpParams(nu=2, n=4, seed=3)
+    cg = sample_jump_graph(p)
+    assert check_certificate(cg) == [(2, 8, True)]
+    spoiled = ConstructedGraph(graph=complete_graph(8), kind="canonical", params=p, removed=cg.removed)
+    assert check_certificate(spoiled) == [(2, 8, False)]
+    simple = sample_simple_jump_graph(JumpParams(nu=3, n=5, seed=1))
+    assert check_certificate(simple) == [(3, 5, True)]
+    product = multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8)))
+    assert check_certificate(product) == [(2, 4, True), (3, 24, True)]
+
+
+def test_parameters_leave_out_removed_edges():
+    cg = multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8)))
+    params = cg.parameters()
+    assert "removed_edges" not in params
+    assert [f["seed"] for f in params["factors"]] == [7, 8]
+    assert all("removed_edges" not in f for f in params["factors"])
+    meta = cg.metadata()
+    assert {k: v for k, v in meta.items() if k not in ("removed_edges", "factors")} == {
+        k: v for k, v in params.items() if k != "factors"
+    }
+    assert meta["factors"][1]["removed_edges"] is cg.factors[1].removed

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,8 +234,11 @@ def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, 
 
 
 int_pairs = st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integers(), min_size=2, max_size=2), max_size=4)
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+# (M, 2) int64 arrays, as removed edges are held; M = 0 included
+pair_arrays = st.lists(st.tuples(int64s, int64s), max_size=4).map(lambda p: np.array(p, dtype=np.int64).reshape(-1, 2))
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5) | int_pairs,
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5) | int_pairs | pair_arrays,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
     max_leaves=20,
 )
@@ -242,4 +246,12 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_sidecar_text_matches_json_dumps(value):
-    assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    # json.dumps sees each array as the list of its rows
+    assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+def test_sidecar_text_of_a_long_pair_array(monkeypatch):
+    monkeypatch.setattr(gio, "_EDGE_CHUNK", 3)  # several chunks, the last one short
+    arr = np.arange(20, dtype=np.int64).reshape(-1, 2)
+    for value in (arr, {"removed_edges": arr, "factors": [{"removed_edges": arr[:0]}]}):
+        assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
