@@ -71,4 +71,6 @@ __version__ = "0.1.0"
 
 # every public name imported above; the submodules stay out, so that a star
 # import does not bind ``io`` over the standard library's
-__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -240,8 +240,13 @@ class ConstructedGraph:
                 "seeds": list(spec.seeds),
                 "factors": [f.parameters() for f in self.factors],
             }
-        p = self.params
-        return {"construction": self.kind, "nu": p.nu, "n": p.n, "N": self.graph.n, "seed": p.seed}
+        return {
+            "construction": self.kind,
+            "nu": self.params.nu,
+            "n": self.params.n,
+            "N": self.graph.n,
+            "seed": self.params.seed,
+        }
 
     def metadata(self) -> dict:
         """The sidecar: parameters() plus the removed edges, as the (M, 2)
@@ -468,15 +473,18 @@ def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:
     """Parameters and removed edges of a canonical or simple sidecar, type-checked."""
     check_fields(meta, "metadata", ("nu", "n", "seed"))
     removed = meta["removed_edges"]
+    # metadata() hands over its (M, 2) int64 array, which is used as it is
+    as_array = isinstance(removed, np.ndarray) and removed.dtype == np.int64 and removed.shape[1:] == (2,)
     if not (
-        isinstance(removed, list)
+        as_array
+        or isinstance(removed, list)
         and set(map(type, removed)) <= {list}
         and set(map(len, removed)) <= {2}
         and set(map(type, chain.from_iterable(removed))) <= {int}
     ):
         raise ValueError("metadata 'removed_edges' must be a list of integer pairs")
     params = JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"])
-    return params, _pair_array(removed)
+    return params, removed if as_array else _pair_array(removed)
 
 
 def _product_spec(meta: dict) -> MultiJumpSpec:
@@ -491,7 +499,8 @@ def _product_spec(meta: dict) -> MultiJumpSpec:
 
 
 def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
-    """Rebuild a ConstructedGraph from a deserialized graph and its sidecar.
+    """Rebuild a ConstructedGraph from a graph and its sidecar, parsed or as
+    ConstructedGraph.metadata() returns it.
     Raises ValueError or KeyError on a sidecar that does not describe one,
     before building anything larger than the graph."""
     kind = meta.get("construction")
@@ -576,5 +585,9 @@ def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, boo
         resample = _simple_removed(cg.params)
     check("seed reproduces removed edges", np.array_equal(resample, removed))
     ((k, size, ok),) = check_certificate(cg)
-    check("certificate independent in power view", ok and size == certificate_size_for(cg, k), f"size {size}")
+    check(
+        "certificate independent in power view",
+        ok and size == certificate_size_for(cg, k),
+        f"size {size}",
+    )
     return checks

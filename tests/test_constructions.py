@@ -24,7 +24,7 @@ from capforge import (
     sample_simple_jump_graph,
     simple_explicit_set,
 )
-from capforge.constructions import orbit_representative, shift_orbit
+from capforge.constructions import from_metadata, orbit_representative, shift_orbit, verify_construction
 
 params_strategy = st.builds(
     JumpParams,
@@ -342,3 +342,19 @@ def test_parameters_leave_out_removed_edges():
         k: v for k, v in params.items() if k != "factors"
     }
     assert meta["factors"][1]["removed_edges"] is cg.factors[1].removed
+
+
+@pytest.mark.parametrize(
+    "cg",
+    [
+        sample_jump_graph(JumpParams(nu=2, n=4, seed=1)),
+        sample_simple_jump_graph(JumpParams(nu=3, n=5, seed=1)),
+        multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))),
+    ],
+    ids=["canonical", "simple", "product"],
+)
+def test_from_metadata_takes_metadata_as_returned(cg):
+    # metadata() hands over its removed-edge arrays; no file in between
+    rebuilt = from_metadata(cg.graph, cg.metadata())
+    assert rebuilt == cg
+    assert all(ok for _, ok, _ in verify_construction(rebuilt, cg.metadata()))
