@@ -179,6 +179,8 @@ def _write_report(report: dict, out: str | None) -> None:
 
 
 def cmd_construct(args) -> int:
+    if args.out is None:
+        raise ValueError("construct needs --out")
     cfg = _load_config(args.config)
     cap = _resolve_cap(args.cap)
     construction = _pick(None, cfg, "construction")
@@ -191,8 +193,6 @@ def cmd_construct(args) -> int:
         kind = "simple" if (args.simple or construction == "simple") else "canonical"
         cg = sample_simple_jump_graph(params) if kind == "simple" else sample_jump_graph(params)
         resolved = {"construction": kind, "nu": params.nu, "n": params.n, "seed": params.seed, "cap": cap}
-    if args.out is None:
-        raise ValueError("construct needs --out")
     meta = cg.metadata()
     meta["config"] = resolved
     gio.write_graph(cg.graph, args.out, metadata=meta)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -218,11 +218,6 @@ class ConstructedGraph:
             and (self.graph, self.kind, self.params, self.factors) == (other.graph, other.kind, other.params, other.factors)
             and np.array_equal(self.removed, other.removed)
         )
-
-    @property
-    def removed_edges(self) -> list[tuple[int, int]]:
-        """The deleted pairs as a list of tuples, built on each access."""
-        return list(zip(*self.removed.T.tolist()))
 
     def parameters(self) -> dict:
         """What the construction is, without its removed edges: kind,
@@ -461,30 +456,13 @@ def check_fields(fields: dict, where: str, keys=None) -> None:
             raise ValueError(f"{where} {key!r} must be {_FIELDS[key][1]}, got {fields[key]!r}")
 
 
-def _pair_array(removed: list[list[int]]) -> np.ndarray:
-    """A sidecar's integer pairs as an (M, 2) int64 array."""
-    try:
-        return np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)
-    except OverflowError:
-        raise ValueError("metadata 'removed_edges' holds an integer outside the signed 64-bit range") from None
-
-
 def _jump_fields(meta: dict) -> tuple[JumpParams, np.ndarray]:
     """Parameters and removed edges of a canonical or simple sidecar, type-checked."""
     check_fields(meta, "metadata", ("nu", "n", "seed"))
     removed = meta["removed_edges"]
-    # metadata() hands over its (M, 2) int64 array, which is used as it is
-    as_array = isinstance(removed, np.ndarray) and removed.dtype == np.int64 and removed.shape[1:] == (2,)
-    if not (
-        as_array
-        or isinstance(removed, list)
-        and set(map(type, removed)) <= {list}
-        and set(map(len, removed)) <= {2}
-        and set(map(type, chain.from_iterable(removed))) <= {int}
-    ):
-        raise ValueError("metadata 'removed_edges' must be a list of integer pairs")
-    params = JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"])
-    return params, removed if as_array else _pair_array(removed)
+    if not (isinstance(removed, np.ndarray) and removed.dtype == np.int64 and removed.shape[1:] == (2,)):
+        raise ValueError("metadata 'removed_edges' must be an (M, 2) int64 array, as io.read_metadata returns it")
+    return JumpParams(nu=meta["nu"], n=meta["n"], seed=meta["seed"]), removed
 
 
 def _product_spec(meta: dict) -> MultiJumpSpec:
@@ -499,8 +477,8 @@ def _product_spec(meta: dict) -> MultiJumpSpec:
 
 
 def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
-    """Rebuild a ConstructedGraph from a graph and its sidecar, parsed or as
-    ConstructedGraph.metadata() returns it.
+    """Rebuild a ConstructedGraph from a graph and its sidecar, as
+    io.read_metadata or ConstructedGraph.metadata() returns it.
     Raises ValueError or KeyError on a sidecar that does not describe one,
     before building anything larger than the graph."""
     kind = meta.get("construction")
@@ -511,14 +489,18 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
         return ConstructedGraph(graph=graph, kind=kind, params=params, removed=removed)
     if kind == "product":
         spec = _product_spec(meta)
-        parsed = [_jump_fields(fmeta) for fmeta in meta["factors"]]
-        for fmeta, (params, _) in zip(meta["factors"], parsed):
+        parsed = []
+        for fmeta in meta["factors"]:
+            if fmeta.get("construction") != "canonical":
+                raise ValueError(f"factor construction {fmeta.get('construction')!r} is not 'canonical'")
+            params, removed = _jump_fields(fmeta)
             if fmeta.get("N") != params.N:
                 raise ValueError(f"factor N={fmeta.get('N')!r} is not n * nu = {params.N}")
+            parsed.append((params, removed))
         total = math.prod(params.N for params, _ in parsed)
         if total != graph.n:
             raise ValueError(f"metadata factor sizes multiply to {total}, not the graph's {graph.n} vertices")
-        factors = [from_metadata(complete_minus(p.N, removed), fmeta) for fmeta, (p, removed) in zip(meta["factors"], parsed)]
+        factors = [ConstructedGraph(complete_minus(p.N, removed), "canonical", p, removed) for p, removed in parsed]
         return ConstructedGraph(
             graph=graph, kind="product", params=spec, removed=np.empty((0, 2), np.int64), factors=factors
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -165,12 +166,31 @@ def _read_lines(path, text: str) -> Graph:
     return g
 
 
+def _pair_arrays(obj: dict) -> dict:
+    """``json`` object hook: ``removed_edges``, at the top level or in a factor, becomes the
+    (M, 2) int64 array metadata() holds if it is a list of pairs of integers that fit in
+    int64; any other value stays as parsed, for from_metadata to refuse."""
+    removed = obj.get("removed_edges")
+    if (
+        isinstance(removed, list)
+        and set(map(type, removed)) <= {list}
+        and set(map(len, removed)) <= {2}
+        and set(map(type, chain.from_iterable(removed))) <= {int}
+    ):
+        try:
+            obj["removed_edges"] = np.fromiter(chain.from_iterable(removed), np.int64, 2 * len(removed)).reshape(-1, 2)
+        except OverflowError:  # an integer outside the signed 64-bit range
+            pass
+    return obj
+
+
 def read_metadata(path) -> dict | None:
+    """The sidecar of ``path``, None if there is none, with _pair_arrays' arrays."""
     mp = meta_path(path)
     if not mp.exists():
         return None
     try:
-        meta = json.loads(mp.read_text())
+        meta = json.loads(mp.read_text(), object_hook=_pair_arrays)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{mp}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):

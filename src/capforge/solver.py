@@ -451,21 +451,10 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
 def clique_cover_upper_bound(g: Graph) -> int:
     """Greedy partition of the vertices into cliques; the part count bounds
     the independence number from above (an independent set meets each clique
-    at most once)."""
-    uncovered = (1 << g.n) - 1
-    count = 0
-    while uncovered:
-        low = uncovered & -uncovered
-        v = low.bit_length() - 1
-        uncovered ^= low
-        common = g.adj[v] & uncovered
-        while common:
-            ulow = common & -common
-            u = ulow.bit_length() - 1
-            uncovered ^= ulow
-            common = common & g.adj[u] & ~ulow
-        count += 1
-    return count
+    at most once). The parts are _colour's classes on adjacency: each takes
+    the lowest uncovered vertex, then keeps only its neighbours."""
+    coloured = _colour((1 << g.n) - 1, 0, [0, *g.adj])
+    return coloured[1][-1] if coloured else 0
 
 
 def _greedy_is(g: Graph) -> int:

@@ -67,6 +67,20 @@ def test_construct_usage_errors(tmp_path):
     assert run("nonsense") == 1
 
 
+def test_construct_refuses_a_missing_out_before_sampling(monkeypatch, capsys):
+    from capforge import cli
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before --out was checked")
+
+    monkeypatch.setattr(cli, "sample_jump_graph", sampled)
+    monkeypatch.setattr(cli, "multi_jump_product", sampled)
+    assert run("construct", "--nu", "2", "--n", "2048", "--seed", "7") == 1
+    assert _one_line_error(capsys) == "capforge: error: construct needs --out"
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2") == 1
+    assert _one_line_error(capsys) == "capforge: error: construct needs --out"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"construction": "canonical", "nu": 2, "n": 2, "seed": 3}))
@@ -315,7 +329,13 @@ def test_empty_graph_header_fails_verify_and_series(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("removed_edges", [["a", 1]]), ("removed_edges", [[0, 1, 2]]), ("nu", "2")],
+    [
+        ("removed_edges", [["a", 1]]),
+        ("removed_edges", [[0, 1, 2]]),
+        ("removed_edges", [[0, 2**64]]),
+        ("removed_edges", [[True, 1]]),
+        ("nu", "2"),
+    ],
 )
 def test_malformed_sidecar_fails_verify_and_series(tmp_path, capsys, key, value):
     g = tmp_path / "g.col"
@@ -393,6 +413,22 @@ def test_verify_compares_each_factor_seed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] factor nu=3 seed reproduces removed edges" in out
     assert "[ok ] factor nu=2 seed reproduces removed edges" in out
+
+
+def test_factor_of_another_kind_fails_verify_and_series(tmp_path, capsys):
+    g = tmp_path / "p.col"
+    assert run("construct", "--multi", "--nus", "2,3", "--n1", "2", "--seeds", "1,2", "--out", str(g)) == 0
+    mp = meta_path(g)
+    meta = json.loads(mp.read_text())
+    meta["factors"][1]["construction"] = "simple"
+    mp.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    captured = capsys.readouterr()
+    assert "[FAIL] metadata consistent (factor construction 'simple' is not 'canonical')" in captured.out
+    assert "Traceback" not in captured.err
+    assert run("series", str(g)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
 
 
 @pytest.mark.parametrize(
@@ -638,7 +674,7 @@ _COMMANDS = {
     "verify": ("", ""),
 }
 _OUTS = {"construct": "out.col", "series": "rep", "jump-demo": "demo.json", "multi-jump": "mj.json", "mc-alpha": "mc.json"}
-_VALUES = [-1, 0, 1, 2, 3, 8, 12, 10**20, 2**64, "x", "2", None, True, 1.5, math.inf, math.nan,
+_VALUES = [-1, 0, 1, 2, 3, 8, 12, 10**20, 2**64, "x", "2", "simple", None, True, 1.5, math.inf, math.nan,
            [], [2], [2, 3], [3, 2], ["2"], [[0, 1]], [[0, 10**20]], {}]
 _CONFIG_KEYS = ["construction", "nu", "n", "seed", "n1", "N1", "alpha", "nus", "seeds", "other"]
 _GOOD_CONFIG = {
@@ -653,7 +689,7 @@ _GOOD_CONFIG = {
     "seeds": st.sampled_from([[1, 2], [1]]),
 }
 _SIDECAR_KEYS = ["construction", "nu", "nu_list", "n", "N", "seed", "seeds", "alpha", "sizes", "removed_edges",
-                 "factors", "factors.0.n", "factors.1.nu", "factors.1.removed_edges"]
+                 "factors", "factors.0.n", "factors.1.nu", "factors.1.removed_edges", "factors.1.construction"]
 _GRAPH_LINES = ["p edge 0 0", "p edge 8 1", f"p edge {_BIG} 1", "p edge x 1", "e 1 1", "e 1 9", "e 0 2", "junk", ""]
 
 

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from capforge import (
     sample_simple_jump_graph,
     simple_explicit_set,
 )
+from capforge import constructions
 from capforge.constructions import from_metadata, orbit_representative, shift_orbit, verify_construction
 
 params_strategy = st.builds(
@@ -128,14 +132,14 @@ class TestSampleJumpGraph:
         cg = sample_jump_graph(p)
         M = expected_class_count(p.nu, p.n)
         assert cg.graph.edge_count() == p.N * (p.N - 1) // 2 - M
-        assert len(cg.removed_edges) == M
+        assert len(cg.removed) == M
 
     @given(params_strategy)
     @settings(max_examples=30, deadline=None)
     def test_one_removed_edge_per_class(self, p):
         cg = sample_jump_graph(p)
         cls = equivalence_classes(p.nu, p.n)
-        removed = set(cg.removed_edges)
+        removed = set(map(tuple, cg.removed.tolist()))
         assert len(removed) == len(cls)
         for c in cls:
             assert len(removed & set(c.members)) == 1
@@ -143,15 +147,15 @@ class TestSampleJumpGraph:
     def test_deterministic_given_seed(self):
         a = sample_jump_graph(JumpParams(nu=3, n=4, seed=99))
         b = sample_jump_graph(JumpParams(nu=3, n=4, seed=99))
-        assert a.graph == b.graph and a.removed_edges == b.removed_edges
+        assert a.graph == b.graph and a.removed.tolist() == b.removed.tolist()
 
     def test_equality_compares_removed_arrays(self):
         a, b, c = (sample_jump_graph(JumpParams(nu=3, n=4, seed=s)) for s in (99, 99, 98))
-        assert a == b and a.removed_edges != c.removed_edges and a != c
+        assert a == b and a.removed.tolist() != c.removed.tolist() and a != c
         assert dataclasses.replace(a, removed=c.removed) != a
 
     def test_seed_changes_graph(self):
-        graphs = {tuple(sample_jump_graph(JumpParams(nu=3, n=4, seed=s)).removed_edges) for s in range(8)}
+        graphs = {sample_jump_graph(JumpParams(nu=3, n=4, seed=s)).removed.tobytes() for s in range(8)}
         assert len(graphs) > 1
 
     def test_graph_valid(self):
@@ -206,7 +210,7 @@ class TestSimpleConstruction:
 
     def test_removed_edges_equal_columns(self):
         cg = sample_simple_jump_graph(JumpParams(nu=2, n=3, seed=4))
-        for u, v in cg.removed_edges:
+        for u, v in cg.removed.tolist():
             assert u % 2 == v % 2  # same column
             assert u // 2 != v // 2  # distinct rows
 
@@ -214,8 +218,8 @@ class TestSimpleConstruction:
     @settings(max_examples=20, deadline=None)
     def test_one_removal_per_row_pair(self, p):
         cg = sample_simple_jump_graph(p)
-        pairs = {(min(u // p.nu, v // p.nu), max(u // p.nu, v // p.nu)) for u, v in cg.removed_edges}
-        assert len(pairs) == len(cg.removed_edges) == p.n * (p.n - 1) // 2
+        pairs = {(min(u // p.nu, v // p.nu), max(u // p.nu, v // p.nu)) for u, v in cg.removed.tolist()}
+        assert len(pairs) == len(cg.removed) == p.n * (p.n - 1) // 2
 
     def test_certificate_smallest(self):
         p = JumpParams(nu=2, n=2, seed=0)
@@ -313,7 +317,7 @@ def test_all_pairs_between_certificate_members_cover_whole_classes():
     p = JumpParams(nu=3, n=2, seed=5)
     cg = sample_jump_graph(p)
     cert = sorted(explicit_power_set(p, 3))
-    removed = set(cg.removed_edges)
+    removed = set(map(tuple, cg.removed.tolist()))
     for a, b in itertools.combinations(cert, 2):
         coord_pairs = {(min(x, y), max(x, y)) for x, y in zip(a, b) if x != y}
         assert len(coord_pairs & removed) >= 1
@@ -358,3 +362,19 @@ def test_from_metadata_takes_metadata_as_returned(cg):
     rebuilt = from_metadata(cg.graph, cg.metadata())
     assert rebuilt == cg
     assert all(ok for _, ok, _ in verify_construction(rebuilt, cg.metadata()))
+
+
+def test_from_metadata_parses_each_factor_once(monkeypatch):
+    cg = multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8)))
+    calls = []
+    parse = constructions._jump_fields
+    monkeypatch.setattr(constructions, "_jump_fields", lambda meta: calls.append(meta) or parse(meta))
+    assert from_metadata(cg.graph, cg.metadata()) == cg
+    assert len(calls) == 2
+
+
+def test_from_metadata_refuses_pair_lists():
+    cg = sample_jump_graph(JumpParams(nu=2, n=4, seed=1))
+    meta = json.loads(json.dumps(cg.metadata(), default=np.ndarray.tolist))
+    with pytest.raises(ValueError, match=r"must be an \(M, 2\) int64 array, as io.read_metadata returns it"):
+        from_metadata(cg.graph, meta)

@@ -21,7 +21,7 @@ def _sha(data: bytes) -> str:
 
 
 def _removed_digest(nu: int, n: int) -> str:
-    removed = [sample_jump_graph(JumpParams(nu=nu, n=n, seed=s)).removed_edges for s in range(4)]
+    removed = [sample_jump_graph(JumpParams(nu=nu, n=n, seed=s)).removed.tolist() for s in range(4)]
     return _sha(json.dumps(removed).encode())
 
 

@@ -10,11 +10,14 @@ from capforge import io as gio
 from capforge import (
     GraphFormatError,
     JumpParams,
+    MultiJumpSpec,
     cycle_graph,
     make_graph,
+    multi_jump_product,
     read_graph,
     read_metadata,
     sample_jump_graph,
+    sample_simple_jump_graph,
     write_graph,
 )
 from capforge.constructions import from_metadata
@@ -83,8 +86,34 @@ def test_constructed_round_trip_keeps_removed_edges(tmp_path):
     meta = read_metadata(path)
     rebuilt = from_metadata(g, meta)
     assert rebuilt.graph == cg.graph
-    assert rebuilt.removed_edges == cg.removed_edges
+    assert rebuilt.removed.tolist() == cg.removed.tolist()
     assert rebuilt.params == cg.params
+
+
+@pytest.mark.parametrize(
+    "cg",
+    [
+        sample_jump_graph(JumpParams(nu=2, n=4, seed=1)),
+        sample_simple_jump_graph(JumpParams(nu=3, n=5, seed=1)),
+        multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))),
+    ],
+    ids=["canonical", "simple", "product"],
+)
+def test_read_metadata_decodes_removed_edges_into_arrays(tmp_path, cg):
+    path = tmp_path / "g.col"
+    write_graph(cg, path)
+    meta = read_metadata(path)
+    for have, want in [(meta, cg), *zip(meta.get("factors", []), cg.factors)]:
+        removed = have["removed_edges"]
+        assert isinstance(removed, np.ndarray) and removed.dtype == np.int64 and removed.shape == (len(want.removed), 2)
+        assert np.array_equal(removed, want.removed)
+
+
+@pytest.mark.parametrize("value", [[["a", 1]], [[0, 1, 2]], [[0, 2**64]], [[True, 1]], 5, [[0, 1], 2]])
+def test_read_metadata_keeps_other_removed_edges_as_parsed(tmp_path, value):
+    path = tmp_path / "g.col"
+    write_graph(cycle_graph(5), path, metadata={"removed_edges": value})
+    assert read_metadata(path)["removed_edges"] == value
 
 
 def test_endpoint_out_of_range_rejected(tmp_path):

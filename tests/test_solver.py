@@ -466,6 +466,10 @@ class TestCliqueCover:
     def test_upper_bounds_alpha(self, g):
         assert clique_cover_upper_bound(g) >= brute_force_mis(g).size
 
+    @pytest.mark.parametrize("nu,n,count", [(2, 512, 130), (2, 384, 103), (3, 341, 85)])
+    def test_seed_7_jump_graph_counts(self, nu, n, count):
+        assert clique_cover_upper_bound(sample_jump_graph(JumpParams(nu=nu, n=n, seed=7)).graph) == count
+
 
 class TestLocalSearch:
     def test_empty_graph_takes_everything(self):
