@@ -1,9 +1,10 @@
 """Golden values of the constructions and of the files built from them.
 
 Each digest is a SHA-256 recorded when the values were taken. A rewrite of
-orbit enumeration, sampling, the verifier or the report writers must leave
-the removed edges, the written graph and sidecar bytes, the ``verify``
-output and the series CSV exactly as they were.
+orbit enumeration, sampling, the certificates, the verifier or the report
+writers must leave the removed edges, the certificate sets, the written
+graph and sidecar bytes, the ``verify`` output and the series CSV exactly
+as they were.
 """
 
 import hashlib
@@ -11,7 +12,15 @@ import json
 
 import pytest
 
-from capforge import JumpParams, independence_series, sample_jump_graph
+from capforge import (
+    JumpParams,
+    MultiJumpSpec,
+    certificate_for,
+    independence_series,
+    multi_jump_product,
+    sample_jump_graph,
+    sample_simple_jump_graph,
+)
 from capforge.cli import main
 from capforge.io import meta_path
 
@@ -68,6 +77,90 @@ REMOVED = {
 @pytest.mark.parametrize("nu,n", sorted(REMOVED))
 def test_removed_edges(nu, n):
     assert _removed_digest(nu, n) == REMOVED[(nu, n)]
+
+
+def _construction(kind: str, nu, n):
+    if kind == "product":
+        return multi_jump_product(MultiJumpSpec(nus=nu, n1=n, alpha=1.5, seeds=(7, 8)))
+    sample = sample_jump_graph if kind == "canonical" else sample_simple_jump_graph
+    return sample(JumpParams(nu=nu, n=n, seed=1))
+
+
+EMPTY = _sha(b"[]")
+# (kind, nu, n) -> SHA-256 of json.dumps(sorted(certificate_for(cg, k))) for
+# k = 1, 2, ...: canonical graphs at seed 1 up to k = 2 nu + 1, simple graphs
+# at seed 1 up to k = nu, and the product of nus (2, 3), n1 = 2, seeds 7, 8
+# up to k = 6
+CERTIFICATES = {
+    ("canonical", 2, 2): (
+        EMPTY,
+        "9ce3ea4491e092a966855e4181977a4a0ddbcf236f2fcaf135e6b52c7610bc93",
+        "51150a2e06395487980c6f53d8bec048740f3d363a313c3b8db4941dfaa1028b",
+        "04811bf6b972081d8507414b8e5502e02b56d6425df7ad2430e1635c7db0d27f",
+        "4aecf2d73c8249aad2ba03fcbac3ac674474d6c97323a15858d865669d4c20ba",
+    ),
+    ("simple", 2, 2): (
+        EMPTY,
+        "72b51f0d1a57e54ee5f792c9617e75b218aa4dffce916945eb4387ad20e173dd",
+    ),
+    ("canonical", 2, 3): (
+        EMPTY,
+        "59ee4997db61d05784233a059b4a533f389693ed5a8037daa3fca3f8f977696e",
+        "99edd9cf10101bb7e18eef786267844fd6ce9829173c12772f4ec077a2d224d5",
+        "24d40bf47f16f58e823dd4270c8e852909b7bc9eb36b77bfa295759ea0647654",
+        "f040b52b384725ddea79a195ab0d34bb669e6c0a0f14df816a5d3b13eabdbd07",
+    ),
+    ("simple", 2, 3): (
+        EMPTY,
+        "27b647309813e2bbdfe79bf2aecf5c6b34d4c297f230a6f13008d86830c20f35",
+    ),
+    ("canonical", 3, 2): (
+        EMPTY,
+        EMPTY,
+        "cbf90a33e895899c6710acbe0535d68f24aeda161d03836973e62b7ba94f8edf",
+        "f510ab90e90240b764a0465fec3e319c9486ab4454822538c5e7182faa2cf5b9",
+        "9a3ed6b6ef58b9f686c2a4b9894867b639b0ae40d033148e79cd189abd211c64",
+        "28352e17f605807cd89bcd9cefb7cf5fc6cba60ea11253ff2e6321513559c020",
+        "902c3a25653755a810623e862f1234d9c29cf8f23a463a0c90473b1d39f762b5",
+    ),
+    ("simple", 3, 2): (
+        EMPTY,
+        EMPTY,
+        "d42ef3a453691152af9df3974094032f222579d3757a55de4baf2ae3aef6da0c",
+    ),
+    ("canonical", 4, 2): (
+        EMPTY,
+        EMPTY,
+        EMPTY,
+        "0230068d357881279c4f4fdbb7ec4cf8f65ab38ae768803db8697191e9a7d7d4",
+        "76fe7eb46a7a16f84e75ce83c6cbb4fb3daa5a5b9869350e537447ae32e89c1b",
+        "97a52cfeb82f70ad1d5fac11640cf7758cd1d44d6e779f886476d20737eaa76d",
+        "fe5e805853498a97c7b59ffd5043ae11bb68e2ee9ff675e0817b1446e630795e",
+        "2d26d30dfec998de1717050cddd4a3718426317daca49a7a064af93c28daee85",
+        "323de81e1fa22705648b85ea48c62d19c454d2266798507386d73e3d9aad1f29",
+    ),
+    ("simple", 4, 2): (
+        EMPTY,
+        EMPTY,
+        EMPTY,
+        "249bcf1fac24e5fa4e6b26a062c8c168453841f8f051d65cd3702242691fa42f",
+    ),
+    ("product", (2, 3), 2): (
+        EMPTY,
+        "b2e5be5f4e3e7012e53b79fa20c54cf96ec918fb455192c0153d4968480c7336",
+        "71243587e12b8742a986d734d2ad42d6b452e171f2714ea90babe550a3d9da8e",
+        "b9574d27aea4eca7f14ffee09e013e71a3599f5ca9e236c4d0ee113d243761ea",
+        "7b08ea80452df63d2076a41d3293e974dd28fb46dd8e49bb9dd3a36cf8c4e950",
+        "c7829c646fef67fe19434050a0de4fe7dbd67cebe72e7bf19cdd6d847a58ac91",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CERTIFICATES, key=str))
+def test_certificate_sets(key):
+    cg = _construction(*key)
+    got = tuple(_sha(json.dumps(sorted(certificate_for(cg, k))).encode()) for k in range(1, len(CERTIFICATES[key]) + 1))
+    assert got == CERTIFICATES[key]
 
 
 CONSTRUCT_ARGS = {
