@@ -32,12 +32,9 @@ from .constructions import (
     equivalence_classes,
     expected_class_count,
     explicit_power_set,
-    explicit_power_set_size,
     multi_jump_product,
-    product_certificate,
     sample_jump_graph,
     sample_simple_jump_graph,
-    simple_explicit_set,
 )
 from .graphs import (
     DEFAULT_CAP,

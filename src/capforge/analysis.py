@@ -297,7 +297,9 @@ class SeriesReport:
 
 
 def _theory_for(cg: ConstructedGraph | None, k: int) -> BoundsRecord | None:
-    if cg is None:
+    """The closed forms of a canonical construction or a product of them;
+    None for a simple one, whose alpha they do not bound."""
+    if cg is None or cg.kind == "simple":
         return None
     if cg.kind == "product":
         return _product_theory(cg.params, k)

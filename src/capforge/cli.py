@@ -65,8 +65,9 @@ def build_parser() -> _Parser:
     c = sub.add_parser("construct", parents=[], help="sample a construction and write graph + metadata")
     c.add_argument("--nu", type=int, default=None, help="jump index (canonical/simple)")
     c.add_argument("--n", type=int, default=None, help="rows; N = n * nu")
-    c.add_argument("--simple", action="store_true", help="row/column construction")
-    c.add_argument("--multi", action="store_true", help="multi-jump product construction")
+    kind = c.add_mutually_exclusive_group()
+    kind.add_argument("--simple", action="store_true", help="row/column construction")
+    kind.add_argument("--multi", action="store_true", help="multi-jump product construction")
     c.add_argument("--nus", type=_int_list, default=None, help="jump indices for --multi, e.g. 2,3")
     c.add_argument("--n1", type=int, default=None, help="first-factor rows for --multi (N1 = n1 * nus[0])")
     c.add_argument("--alpha", type=float, default=None, help="jump spacing exponent for --multi (> 1)")
@@ -183,14 +184,16 @@ def cmd_construct(args) -> int:
         raise ValueError("construct needs --out")
     cfg = _load_config(args.config)
     cap = _resolve_cap(args.cap)
-    construction = _pick(None, cfg, "construction")
-    if args.multi or construction == "product":
+    flag = "simple" if args.simple else "product" if args.multi else None
+    kind = _pick(flag, cfg, "construction", "canonical")
+    if kind not in ("canonical", "simple", "product"):  # only a config can name another
+        raise ValueError(f"config {args.config}: 'construction' must be 'canonical', 'simple' or 'product', got {kind!r}")
+    if kind == "product":
         cg = _product(args, cfg, cap, "--multi")
         spec = cg.params
         resolved = {"construction": "product", "nus": list(spec.nus), "n1": spec.n1, "alpha": spec.alpha, "seeds": list(spec.seeds), "cap": cap}
     else:
         params = _jump_params(args, cfg, None, "construct needs --nu and --n")
-        kind = "simple" if (args.simple or construction == "simple") else "canonical"
         cg = sample_simple_jump_graph(params) if kind == "simple" else sample_jump_graph(params)
         resolved = {"construction": kind, "nu": params.nu, "n": params.n, "seed": params.seed, "cap": cap}
     meta = cg.metadata()

@@ -288,34 +288,43 @@ def sample_jump_graph(params: JumpParams) -> ConstructedGraph:
     return ConstructedGraph(graph=complete_minus(params.N, removed), kind="canonical", params=params, removed=removed)
 
 
-def explicit_power_set(params: JumpParams, k: int) -> set[tuple[int, ...]]:
-    """Certificate for the k-th strong power of a canonical jump graph.
+def _block(params: JumpParams, kind: str) -> list[tuple[int, ...]]:
+    """The block every certificate of a canonical or simple graph is a power
+    of: a set independent in its nu-th strong power.
 
-    For k = nu this is the N tuples (x, x+n, ..., x+(nu-1)n) mod N: between
-    any two of them the coordinate pairs sweep a whole shift orbit, so the
-    orbit's deleted edge shows up in some coordinate. For larger k, take
-    floor(k/nu) independent blocks and pad the last k mod nu coordinates with
-    vertex 0. Size N ** floor(k/nu); empty below the jump (k < nu).
+    Canonical: the N tuples (x, x+n, ..., x+(nu-1)n) mod N; between any two
+    of them the coordinate pairs sweep a whole shift orbit, so the orbit's
+    deleted edge shows up in some coordinate. Simple: the n row tuples
+    (row*nu, ..., row*nu + nu - 1); each row pair is non-adjacent in its
+    deleted column.
     """
+    nu, n, N = params.nu, params.n, params.N
+    if kind == "simple":
+        return [tuple(range(i * nu, (i + 1) * nu)) for i in range(n)]
+    return [tuple((x + t * n) % N for t in range(nu)) for x in range(N)]
+
+
+def _block_power(params: JumpParams, kind: str, k: int) -> list[tuple[int, ...]]:
+    """The floor(k/nu)-fold strong power of the block, each tuple padded with
+    k mod nu zeros: independent in the k-th power, and the one all-zeros
+    tuple below the jump (k < nu)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    nu, n, N = params.nu, params.n, params.N
-    if k < nu:
-        return set()
-    blocks, pad = divmod(k, nu)
-    base = [tuple((x + t * n) % N for t in range(nu)) for x in range(N)]
+    copies, pad = divmod(k, params.nu)
+    block = _block(params, kind)
     stack = [()]
-    for _ in range(blocks):
-        stack = [acc + b for acc in stack for b in base]
+    for _ in range(copies):
+        stack = [acc + b for acc in stack for b in block]
     padding = (0,) * pad
-    return {acc + padding for acc in stack}
+    return [acc + padding for acc in stack]
 
 
-def explicit_power_set_size(params: JumpParams, k: int) -> int:
-    """Size the certificate would have, without materializing it."""
-    if k < params.nu:
-        return 0
-    return params.N ** (k // params.nu)
+def explicit_power_set(params: JumpParams, k: int) -> set[tuple[int, ...]]:
+    """Certificate for the k-th strong power of the canonical jump graph of
+    ``params``: certificate_for without the graph. Size N ** floor(k/nu);
+    empty below the jump (k < nu)."""
+    cert = set(_block_power(params, "canonical", k))
+    return cert if len(cert) > 1 else set()
 
 
 def _simple_removed(params: JumpParams) -> np.ndarray:
@@ -334,18 +343,6 @@ def sample_simple_jump_graph(params: JumpParams) -> ConstructedGraph:
     return ConstructedGraph(graph=complete_minus(params.N, removed), kind="simple", params=params, removed=removed)
 
 
-def simple_explicit_set(params: JumpParams, g: ConstructedGraph) -> set[tuple[int, ...]]:
-    """The n row tuples (row*nu, ..., row*nu + nu - 1); each row pair is
-    non-adjacent in its deleted column, so the set is independent in the
-    nu-th power."""
-    if g.kind != "simple":
-        raise ValueError(f"expected a simple construction, got kind={g.kind!r}")
-    if g.params != params:
-        raise ValueError("params do not match the construction")
-    nu = params.nu
-    return {tuple(range(i * nu, (i + 1) * nu)) for i in range(params.n)}
-
-
 def multi_jump_product(spec: MultiJumpSpec, cap: int = DEFAULT_CAP) -> ConstructedGraph:
     """Strong product of independently sampled canonical jump graphs."""
     total = math.prod(spec.sizes())
@@ -360,77 +357,37 @@ def multi_jump_product(spec: MultiJumpSpec, cap: int = DEFAULT_CAP) -> Construct
     )
 
 
-def product_certificate(cg: ConstructedGraph, k: int) -> set[tuple[int, ...]]:
-    """Combine factor certificates into one for the product's k-th power.
-
-    Factors below their jump (k < nu_i) contribute the all-zeros tuple, so the
-    combined size is the product of max(|certificate_i|, 1).
-    """
-    if cg.kind != "product":
-        raise ValueError(f"expected a product construction, got kind={cg.kind!r}")
-    factor_sizes = [f.graph.n for f in cg.factors]
-    certs = []
-    for f in cg.factors:
-        c = explicit_power_set(f.params, k)
-        certs.append(sorted(c) if c else [(0,) * k])
-    combos = [()]
-    for c in certs:
-        combos = [acc + (t,) for acc in combos for t in c]
-    out = set()
-    for combo in combos:
-        coords = []
-        for j in range(k):
-            flat = 0
-            for i, size in enumerate(factor_sizes):
-                flat = flat * size + combo[i][j]
-            coords.append(flat)
-        out.add(tuple(coords))
-    return out
-
-
 def certificate_for(cg: ConstructedGraph, k: int) -> set[tuple[int, ...]]:
-    """Best explicit certificate available for cg's k-th power (may be empty)."""
-    if cg.kind == "canonical":
-        return explicit_power_set(cg.params, k)
-    if cg.kind == "simple":
-        if k == cg.params.nu:
-            return simple_explicit_set(cg.params, cg)
-        return set()
-    if cg.kind == "product":
-        cert = product_certificate(cg, k)
-        return cert if len(cert) > 1 else set()
-    raise ValueError(f"unknown construction kind {cg.kind!r}")
-
-
-def check_certificate(cg: ConstructedGraph) -> list[tuple[int, int, bool]]:
-    """The one certificate check: (k, size, independent) for each block
-    every certificate of cg is built from, where independent says whether
-    the block's members are independent in its graph's k-th strong power
-    (checked through the power view).
-
-    certificate_for(cg, k) is a strong product of copies of these blocks and
-    single tuples, and a strong product of independent sets is independent
-    (Shannon 1956), so checking each block once certifies every k. A
-    product's blocks are its factors' k = nu_i certificates, which holds
-    because its graph is the strong product of its factors.
-    """
-    if cg.kind == "product":
-        blocks = [(f.graph, f.params.nu, explicit_power_set(f.params, f.params.nu)) for f in cg.factors]
-    else:
-        blocks = [(cg.graph, cg.params.nu, certificate_for(cg, cg.params.nu))]
-    return [(k, len(members), is_independent(power_view(graph, k), members)) for graph, k, members in blocks]
+    """Explicit certificate for cg's k-th power, empty below every jump: the
+    power of each jump graph's block (a product's factors, else cg itself),
+    combined into flat vertex indices. A factor below its jump gives the
+    all-zeros tuple. A strong product of independent sets is independent
+    (Shannon 1956), so check_certificate's blocks certify every k."""
+    first, *rest = cg.factors or [cg]
+    cert = _block_power(first.params, first.kind, k)
+    for f in rest:
+        size = f.params.N
+        cert = [tuple(a * size + b for a, b in zip(t, u)) for t in cert for u in _block_power(f.params, f.kind, k)]
+    return set(cert) if len(cert) > 1 else set()
 
 
 def certificate_size_for(cg: ConstructedGraph, k: int) -> int:
     """Size certificate_for(cg, k) would have, without materializing it."""
-    if cg.kind == "canonical":
-        return explicit_power_set_size(cg.params, k)
-    if cg.kind == "simple":
-        return cg.params.n if k == cg.params.nu else 0
-    if cg.kind == "product":
-        total = math.prod(max(explicit_power_set_size(f.params, k), 1) for f in cg.factors)
-        return total if total > 1 else 0
-    raise ValueError(f"unknown construction kind {cg.kind!r}")
+    total = math.prod(len(_block(f.params, f.kind)) ** (k // f.params.nu) for f in cg.factors or [cg])
+    return total if total > 1 else 0
+
+
+def check_certificate(cg: ConstructedGraph) -> list[tuple[int, int, bool]]:
+    """The one certificate check: (nu, size, independent) for the block
+    certificate_for(f, nu) of each jump graph f of cg, checked through the
+    power view. Every certificate_for(cg, k) is a power of these blocks (for
+    a product, as its graph is the strong product of its factors), so
+    checking each once certifies every k."""
+    out = []
+    for f in cg.factors or [cg]:
+        block = certificate_for(f, f.params.nu)
+        out.append((f.params.nu, len(block), is_independent(power_view(f.graph, f.params.nu), block)))
+    return out
 
 
 def _is_int(value) -> bool:

@@ -17,6 +17,7 @@ from capforge import (
     alpha_threshold,
     available_cpus,
     brute_force_mis,
+    certificate_for,
     cycle_graph,
     equivalence_classes,
     expected_class_count,
@@ -30,11 +31,9 @@ from capforge import (
     mitm_mis,
     multi_jump_product,
     power_view,
-    product_certificate,
     purge_full_classes,
     sample_jump_graph,
     sample_simple_jump_graph,
-    simple_explicit_set,
     strong_power,
 )
 
@@ -84,11 +83,11 @@ def test_criterion_2_certificate_soundness():
     for nu, n, seed in itertools.product((2, 3), (2, 3, 4), range(100)):
         params = JumpParams(nu=nu, n=n, seed=seed)
         cg = sample_jump_graph(params)
-        cert = explicit_power_set(params, nu)
+        cert = certificate_for(cg, nu)
         if len(cert) != params.N or not is_independent(power_view(cg.graph, nu), cert):
             failures.append(("canonical", nu, n, seed))
         sg = sample_simple_jump_graph(params)
-        scert = simple_explicit_set(params, sg)
+        scert = certificate_for(sg, nu)
         if len(scert) != n or not is_independent(power_view(sg.graph, nu), scert):
             failures.append(("simple", nu, n, seed))
         checked += 2
@@ -255,7 +254,7 @@ def test_criterion_9_multi_jump_composition():
     cg = multi_jump_product(spec)
     failures = []
     for k in (2, 3, 6):
-        cert = product_certificate(cg, k)
+        cert = certificate_for(cg, k)
         if not is_independent(power_view(cg.graph, k), cert):
             failures.append(f"certificate dependent at k={k}")
     report = independence_series(cg, 6, mode="certificate_only")
@@ -265,7 +264,7 @@ def test_criterion_9_multi_jump_composition():
         if a_lower[jump] < prefix - 1e-12:
             failures.append(f"a_{jump}={a_lower[jump]:.3f} below prefix {prefix:.3f}")
     ok = not failures
-    sizes = {k: len(product_certificate(cg, k)) for k in (2, 3, 6)}
+    sizes = {k: len(certificate_for(cg, k)) for k in (2, 3, 6)}
     detail = f"certificate sizes {sizes}, jumps non-decreasing" if ok else "; ".join(failures)
     _report(9, "multi-jump composition", ok, detail)
     assert ok, detail

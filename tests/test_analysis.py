@@ -408,6 +408,14 @@ class TestIndependenceSeries:
         assert rep.entries[1].alpha_lower >= 3  # row certificate
         assert rep.entries[3].alpha_lower >= 9  # product of two row certificates
 
+    def test_simple_graph_series_has_no_theory(self):
+        # the canonical closed forms would put a "certified" a_2 >= 6 ** (1/2)
+        # above the exact a_2 = 2 of this graph
+        cg = sample_simple_jump_graph(JumpParams(nu=2, n=3, seed=0))
+        rep = independence_series(cg, 2, mode="exact")
+        assert rep.entries[1].alpha_exact == 4
+        assert [e.theory for e in rep.entries] == [None, None]
+
     def test_product_graph_series(self):
         spec = MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))
         cg = multi_jump_product(spec)

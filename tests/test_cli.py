@@ -92,6 +92,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(meta_path(out2).read_text())["seed"] == 9
 
 
+def test_construct_kind_is_the_flag_else_the_config_else_canonical(tmp_path, capsys):
+    product, bogus, g = tmp_path / "product.json", tmp_path / "bogus.json", tmp_path / "g.col"
+    product.write_text(json.dumps({"construction": "product", "nus": [2, 3], "n1": 2}))
+    assert run("construct", "--simple", "--nu", "2", "--n", "3", "--config", str(product), "--out", str(g)) == 0
+    assert json.loads(meta_path(g).read_text())["construction"] == "simple"
+    assert run("construct", "--config", str(product), "--out", str(g)) == 0
+    assert json.loads(meta_path(g).read_text())["construction"] == "product"
+    capsys.readouterr()
+    assert run("construct", "--simple", "--multi", "--nu", "2", "--n", "3", "--nus", "2,3", "--n1", "2", "--out", str(g)) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "capforge construct: error: argument --multi: not allowed with argument --simple"
+    bogus.write_text(json.dumps({"construction": "bogus", "nu": 2, "n": 3}))
+    assert run("construct", "--config", str(bogus), "--out", str(tmp_path / "b.col")) == 1
+    assert _one_line_error(capsys) == f"capforge: error: config {bogus}: 'construction' must be 'canonical', 'simple' or 'product', got 'bogus'"
+    assert not (tmp_path / "b.col").exists()
+
+
 def test_config_with_total_first_factor_size(tmp_path):
     cfg = tmp_path / "prod.json"
     cfg.write_text(json.dumps({"construction": "product", "nus": [2, 3], "N1": 4, "alpha": 1.5, "seeds": [7, 8]}))
@@ -538,6 +554,7 @@ _REFUSED = [
                  "config inf.json: 'alpha' must be a finite number, got inf", id="config-alpha-inf"),
     pytest.param(("multi-jump", "--nus", "2,3", "--n1", "4", "--k-max", "100000"), _TOO_LONG, id="multi-jump-k-max"),
     pytest.param(("series", "g.col", "--k-max", "100000", "--mode", "certificate-only"), _TOO_LONG, id="series-k-max"),
+    pytest.param(("series", "s.col", "--k-max", "100000", "--mode", "certificate-only"), _TOO_LONG, id="series-simple-k-max"),
     pytest.param(("jump-demo", "--n", _BIG), f"n * nu must be below 2**63, got {2 * 10**20}", id="jump-demo-n"),
     pytest.param(("construct", "--nu", _BIG, "--n", "2", "--out", "x.col"), f"n * nu must be below 2**63, got {2 * 10**20}", id="construct-nu"),
 ]
@@ -549,6 +566,7 @@ def test_once_a_traceback_now_one_line(tmp_path, monkeypatch, capsys, argv, mess
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     Path("inf.json").write_text('{"alpha": Infinity, "nus": [2, 3], "n1": 4}')
     assert run("construct", "--nu", "2", "--n", "4", "--out", "g.col") == 0
+    assert run("construct", "--simple", "--nu", "2", "--n", "4", "--out", "s.col") == 0
     capsys.readouterr()
     assert run(*argv) == 1
     captured = capsys.readouterr()

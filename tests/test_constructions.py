@@ -13,19 +13,18 @@ from capforge import (
     ConstructedGraph,
     JumpParams,
     MultiJumpSpec,
+    certificate_for,
+    certificate_size_for,
     check_certificate,
     complete_graph,
     equivalence_classes,
     expected_class_count,
     explicit_power_set,
-    explicit_power_set_size,
     is_independent,
     multi_jump_product,
     power_view,
-    product_certificate,
     sample_jump_graph,
     sample_simple_jump_graph,
-    simple_explicit_set,
 )
 from capforge import constructions
 from capforge.constructions import from_metadata, orbit_representative, shift_orbit, verify_construction
@@ -179,7 +178,9 @@ class TestExplicitPowerSet:
     @given(params_strategy, st.integers(min_value=1, max_value=8))
     @settings(max_examples=30, deadline=None)
     def test_size_formula(self, p, k):
-        assert len(explicit_power_set(p, k)) == explicit_power_set_size(p, k)
+        cg = sample_jump_graph(p)
+        assert explicit_power_set(p, k) == certificate_for(cg, k)
+        assert len(explicit_power_set(p, k)) == certificate_size_for(cg, k)
 
     @pytest.mark.parametrize("nu,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_independent_in_sampled_graphs(self, nu, n):
@@ -224,7 +225,7 @@ class TestSimpleConstruction:
     def test_certificate_smallest(self):
         p = JumpParams(nu=2, n=2, seed=0)
         cg = sample_simple_jump_graph(p)
-        cert = simple_explicit_set(p, cg)
+        cert = certificate_for(cg, 2)
         assert cert == {(0, 1), (2, 3)}
         assert is_independent(power_view(cg.graph, 2), cert)
 
@@ -232,15 +233,15 @@ class TestSimpleConstruction:
     @settings(max_examples=20, deadline=None)
     def test_certificate_size_and_independence(self, p):
         cg = sample_simple_jump_graph(p)
-        cert = simple_explicit_set(p, cg)
+        cert = certificate_for(cg, p.nu)
         assert len(cert) == p.n
         assert is_independent(power_view(cg.graph, p.nu), cert)
 
-    def test_kind_mismatch_rejected(self):
-        p = JumpParams(nu=2, n=2, seed=0)
-        cg = sample_jump_graph(p)
-        with pytest.raises(ValueError):
-            simple_explicit_set(p, cg)
+    def test_certificate_above_the_jump(self):
+        cg = sample_simple_jump_graph(JumpParams(nu=2, n=3, seed=0))
+        assert certificate_size_for(cg, 4) == 9
+        rows = [(0, 1), (2, 3), (4, 5)]
+        assert certificate_for(cg, 5) == {a + b + (0,) for a in rows for b in rows}
 
 
 class TestMultiJump:
@@ -271,15 +272,15 @@ class TestMultiJump:
         spec = MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))
         cg = multi_jump_product(spec)
         assert cg.graph.n == 96
-        assert len(product_certificate(cg, 2)) == 4
-        assert len(product_certificate(cg, 3)) == 96
-        assert len(product_certificate(cg, 6)) == 4**3 * 24**2
+        assert len(certificate_for(cg, 2)) == 4
+        assert len(certificate_for(cg, 3)) == 96
+        assert len(certificate_for(cg, 6)) == 4**3 * 24**2
 
     def test_product_certificate_independent(self):
         spec = MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(3, 4))
         cg = multi_jump_product(spec)
         for k in (2, 3):
-            cert = product_certificate(cg, k)
+            cert = certificate_for(cg, k)
             assert is_independent(power_view(cg.graph, k), cert)
 
     def test_certificate_beats_product_of_factor_alphas(self):
@@ -288,7 +289,7 @@ class TestMultiJump:
         cg = multi_jump_product(spec)
         k = 3
         factor_sizes = [len(explicit_power_set(f.params, k)) or 1 for f in cg.factors]
-        assert len(product_certificate(cg, k)) == math.prod(factor_sizes)
+        assert len(certificate_for(cg, k)) == math.prod(factor_sizes)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -333,6 +334,30 @@ def test_check_certificate_reports_each_block():
     assert check_certificate(simple) == [(3, 5, True)]
     product = multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8)))
     assert check_certificate(product) == [(2, 4, True), (3, 24, True)]
+
+
+@st.composite
+def constructions_and_k(draw):
+    """A construction of any kind and a k up to 2 nu + 1 of its first jump."""
+    kind = draw(st.sampled_from(["canonical", "simple", "product"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    if kind == "product":
+        nus = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+        cg = multi_jump_product(MultiJumpSpec(nus=nus, n1=2, alpha=1.5, seeds=tuple(range(seed, seed + len(nus)))))
+    else:
+        p = JumpParams(nu=draw(st.integers(min_value=2, max_value=4)), n=draw(st.integers(min_value=2, max_value=3)), seed=seed)
+        cg = sample_jump_graph(p) if kind == "canonical" else sample_simple_jump_graph(p)
+    nu = (cg.factors or [cg])[0].params.nu
+    return cg, draw(st.integers(min_value=1, max_value=2 * nu + 1))
+
+
+@given(constructions_and_k())
+@settings(max_examples=40, deadline=None)
+def test_certificate_size_and_independence_every_kind(case):
+    cg, k = case
+    cert = certificate_for(cg, k)
+    assert len(cert) == certificate_size_for(cg, k)
+    assert is_independent(power_view(cg.graph, k), cert)
 
 
 def test_parameters_leave_out_removed_edges():

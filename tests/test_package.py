@@ -1,6 +1,9 @@
 """The package's public names: ``__all__`` is derived from its imports."""
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import capforge
 
@@ -20,3 +23,17 @@ def test_star_import_binds_no_submodule():
     exec("from capforge import *", namespace)
     assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
     assert "io" not in namespace and "Graph" in namespace
+
+
+def test_readme_imports_only_public_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imported = [
+        alias.name
+        for block in blocks
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "capforge"
+        for alias in node.names
+    ]
+    assert imported
+    assert sorted(set(imported) - set(capforge.__all__)) == []
