@@ -105,7 +105,9 @@ def build_parser() -> _Parser:
     return p
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, *kinds: str) -> dict:
+    """The config file at ``path`` ({} for None), type-checked; its
+    'construction', if any, must be one of ``kinds``, the ones the command runs."""
     if path is None:
         return {}
     try:
@@ -115,6 +117,10 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     check_fields(cfg, f"config {path}:")
+    if cfg.get("construction", kinds[0]) not in kinds:
+        *rest, last = map(repr, kinds)
+        names = f"{', '.join(rest)} or {last}" if rest else last
+        raise ValueError(f"config {path}: 'construction' must be {names}, got {cfg['construction']!r}")
     return cfg
 
 
@@ -182,12 +188,10 @@ def _write_report(report: dict, out: str | None) -> None:
 def cmd_construct(args) -> int:
     if args.out is None:
         raise ValueError("construct needs --out")
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "canonical", "simple", "product")
     cap = _resolve_cap(args.cap)
     flag = "simple" if args.simple else "product" if args.multi else None
     kind = _pick(flag, cfg, "construction", "canonical")
-    if kind not in ("canonical", "simple", "product"):  # only a config can name another
-        raise ValueError(f"config {args.config}: 'construction' must be 'canonical', 'simple' or 'product', got {kind!r}")
     if kind == "product":
         cg = _product(args, cfg, cap, "--multi")
         spec = cg.params
@@ -248,7 +252,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_jump_demo(args) -> int:
-    params = _jump_params(args, _load_config(args.config), 2, "jump-demo needs --n (N = n * nu)")
+    params = _jump_params(args, _load_config(args.config, "canonical"), 2, "jump-demo needs --n (N = n * nu)")
     nu, n, seed, N = params.nu, params.n, params.seed, params.N
     cg = sample_jump_graph(params)
     ((_, cert_size, cert_ok),) = constructions.check_certificate(cg)
@@ -292,7 +296,7 @@ def cmd_jump_demo(args) -> int:
 
 
 def cmd_multi_jump(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "product")
     cap = _resolve_cap(args.cap)
     cg = _product(args, cfg, cap, "multi-jump")
     spec = cg.params
@@ -323,7 +327,7 @@ def _mc_trial(task: tuple[int, int, int, SolverBudget]) -> tuple[int, str]:
 
 
 def cmd_mc_alpha(args) -> int:
-    params = _jump_params(args, _load_config(args.config), 2, "mc-alpha needs --n (N = n * nu)")
+    params = _jump_params(args, _load_config(args.config, "canonical"), 2, "mc-alpha needs --n (N = n * nu)")
     nu, n, seed, N = params.nu, params.n, params.seed, params.N
     s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
     budget = _budget(args, workers=args.threads)

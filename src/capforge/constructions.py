@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -263,13 +262,48 @@ def complete_minus(N: int, removed) -> Graph:
     return Graph(N, bitset_rows(N, pairs, complement=True))
 
 
+# Generator words are drawn this many at a time, so one chunk's int, bytes and
+# arrays are all the sampler holds beyond its output, however many draws it makes.
+_WORD_CHUNK = 1 << 12
+
+
+def _randranges(seed: int, sizes: np.ndarray) -> np.ndarray:
+    """``[random.Random(seed).randrange(m) for m in sizes]`` as an int64 array,
+    from the generator's 32-bit words drawn in bulk.
+
+    randrange(m) takes words w until w >> (32 - k) < m, where k is
+    m.bit_length(), and returns that value. Sizes that share the threshold
+    m << (32 - k), as nu and nu/2 do, accept the same words, so the accepted
+    words, in order, are the draws. getrandbits(32 * K) holds the next K
+    words, the first in the lowest bits.
+    """
+    if len(sizes) and sizes.max() >= 1 << 32:
+        raise ValueError(f"nu must be below 2**32 to sample, got {int(sizes.max())}")
+    first = int(sizes[0]) if len(sizes) else 1
+    threshold = first << (32 - first.bit_length())
+    rng = random.Random(seed)
+    out = np.empty(len(sizes), np.int64)
+    done = 0
+    while done < len(out):
+        count = min(_WORD_CHUNK, 2 * (len(out) - done) + 64)  # 2 words per draw at worst, on average
+        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+        kept = words[words < threshold][: len(out) - done]
+        m = sizes[done : done + len(kept)]
+        shift = 32 - np.frexp(m)[1]  # 32 - m.bit_length()
+        if (m << shift != threshold).any():
+            raise ValueError("sizes must share one threshold m << (32 - m.bit_length())")
+        out[done : done + len(kept)] = kept >> shift
+        done += len(kept)
+    return out
+
+
 def _canonical_removed(params: JumpParams) -> np.ndarray:
     """The edges sample_jump_graph removes, as an (M, 2) array."""
     nu, n, N = params.nu, params.n, params.N
     pairs = orbit_representatives(nu, n)
     # for even nu the pairs N/2 apart close after nu/2 shifts
-    sizes = np.where((nu % 2 == 0) & (2 * (pairs[:, 1] - pairs[:, 0]) == N), nu // 2, nu).tolist()
-    t = np.fromiter(map(random.Random(params.seed).randrange, sizes), np.int64, len(sizes))
+    sizes = np.where((nu % 2 == 0) & (2 * (pairs[:, 1] - pairs[:, 0]) == N), nu // 2, nu)
+    t = _randranges(params.seed, sizes)
     del sizes
     pairs += (t * n)[:, None]
     pairs %= N
@@ -331,7 +365,7 @@ def _simple_removed(params: JumpParams) -> np.ndarray:
     """The edges sample_simple_jump_graph removes, as an (M, 2) array."""
     nu, n = params.nu, params.n
     i, j = np.triu_indices(n, k=1)
-    col = np.fromiter(map(random.Random(params.seed).randrange, repeat(nu, len(i))), np.int64, len(i))
+    col = _randranges(params.seed, np.full(len(i), nu))
     return np.stack((i * nu + col, j * nu + col), axis=1)
 
 

@@ -35,11 +35,19 @@ def meta_path(path) -> Path:
     return p.with_name(p.name + ".meta.json")
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _decimal_width(x: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each non-negative int64 in x."""
+    return np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1
+
+
 def _string_order_key(x: np.ndarray) -> np.ndarray:
     """Integers keyed so that keys order like their decimal strings: the
     digits padded with zeros to a common width, then the digit count."""
     width = len(str(int(x.max(initial=1))))
-    digits = np.searchsorted(10 ** np.arange(width, dtype=np.int64), x, side="right")
+    digits = _decimal_width(x)
     return x * 10 ** (width - digits) * (width + 1) + digits
 
 
@@ -184,15 +192,97 @@ def _pair_arrays(obj: dict) -> dict:
     return obj
 
 
+# A removed_edges list as _json_text writes it starts after this key, which
+# starts its line; the list closes on a line of the key's indent.
+_PAIR_KEY = '"removed_edges": [\n'
+_DIGITS = b"0123456789"
+_PUNCTUATION_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+_INT64_MAX = np.iinfo(np.int64).max  # also what np.fromstring makes of a larger value
+# The string a cut-out list stands as while json parses the rest of a sidecar.
+_MARK = "capforge removed_edges "
+
+
+def _pair_list(body: bytes, indent: str) -> np.ndarray | None:
+    """The (M, 2) array of a removed_edges list whose text between the
+    brackets is ``body``, when that is _json_text's layout at ``indent`` with
+    one non-negative int64 in each number's place, written without leading
+    zeros; else None."""
+    inner, deep = indent + "  ", indent + "    "
+    pair = f"{inner}[\n{deep},\n{deep}\n{inner}],\n".encode()
+    skeleton = body.translate(None, _DIGITS)
+    digits, m = len(body) - len(skeleton), (len(skeleton) + 2) // len(pair)
+    # the layout but for its digits (the last pair has no ",\n")
+    if not m or len(skeleton) + 2 != m * len(pair) or not (pair * m).startswith(skeleton):
+        return None
+    del skeleton
+    # Without spaces, "\n," and "\n\n" are where a pair's first and second
+    # number go; neither is left empty, and there are 2m runs of digits in
+    # all, so there is one on each number's line and none elsewhere.
+    lines = body.translate(None, b" ")
+    if b"\n," in lines or b"\n\n" in lines:
+        return None
+    del lines
+    nums = np.fromstring(body.translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
+    if len(nums) != 2 * m or (nums == _INT64_MAX).any():
+        return None
+    # each run of digits is as long as its value's decimal form
+    if _decimal_width(nums).sum() != digits:
+        return None
+    return nums.reshape(-1, 2)
+
+
+def _read_own(text: str) -> dict | None:
+    """A sidecar in which every removed_edges list in _json_text's layout is
+    parsed by _pair_list and the rest by json, with _pair_arrays. None when no
+    list is in that layout or the rest is not valid JSON, and for a text with
+    a backslash or _MARK in it, where a string could pass for a cut-out list."""
+    if "\\" in text or _MARK in text or not text.isascii():
+        return None
+    pieces, arrays, last = [], {}, 0
+    key = text.find(_PAIR_KEY)
+    while key >= 0:
+        indent = text[text.rfind("\n", 0, key) + 1 : key]
+        start, close = key + len(_PAIR_KEY), "\n" + indent + "]"
+        end = text.find(close, start) if indent.strip(" ") == "" else -1
+        pairs = None if end < 0 else _pair_list(text[start:end].encode("ascii"), indent)
+        if pairs is not None:
+            token = f"{_MARK}{len(arrays)}"
+            arrays[token] = pairs
+            pieces += [text[last : start - 2], json.dumps(token)]
+            last = start = end + len(close)
+        key = text.find(_PAIR_KEY, start)
+    if not arrays:
+        return None
+    pieces.append(text[last:])
+
+    # Each token directly follows a "removed_edges" key, so once the rest
+    # parses it is that key's value, where the json route finds its list.
+    def hook(obj: dict) -> dict:
+        removed = obj.get("removed_edges")
+        if isinstance(removed, str) and removed in arrays:
+            obj["removed_edges"] = arrays[removed]
+        return _pair_arrays(obj)
+
+    try:
+        return json.loads("".join(pieces), object_hook=hook)
+    except json.JSONDecodeError:
+        return None
+
+
 def read_metadata(path) -> dict | None:
-    """The sidecar of ``path``, None if there is none, with _pair_arrays' arrays."""
+    """The sidecar of ``path``, None if there is none, with _pair_arrays' arrays.
+    A sidecar in write_graph's own layout takes _read_own's numpy path; any
+    other goes through json alone, which raises GraphFormatError on invalid JSON."""
     mp = meta_path(path)
     if not mp.exists():
         return None
-    try:
-        meta = json.loads(mp.read_text(), object_hook=_pair_arrays)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{mp}: invalid JSON: {exc}") from exc
+    text = mp.read_text()
+    meta = _read_own(text)
+    if meta is None:
+        try:
+            meta = json.loads(text, object_hook=_pair_arrays)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{mp}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise GraphFormatError(f"{mp}: expected a JSON object")
     return meta

@@ -6,6 +6,7 @@ import math
 import os
 import runpy
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -384,6 +385,43 @@ def test_series_refuses_a_file_that_fails_verification(tmp_path, capsys):
     assert "[FAIL] one removed edge per row pair" in captured.err
     assert "[FAIL] certificate independent in power view (size 4)" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, config, kinds",
+    [
+        ("jump-demo", {"construction": "simple", "nu": 2, "n": 4}, "'canonical'"),
+        ("mc-alpha", {"construction": "product", "nu": 2, "n": 4}, "'canonical'"),
+        ("multi-jump", {"construction": "canonical", "nus": [2, 3], "n1": 2}, "'product'"),
+    ],
+)
+def test_command_refuses_a_config_of_another_kind(tmp_path, capsys, command, config, kinds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(command, "--config", str(cfg)) == 1
+    assert _one_line_error(capsys) == f"capforge: error: config {cfg}: 'construction' must be {kinds}, got {config['construction']!r}"
+    assert capsys.readouterr().out == ""
+    del config["construction"]  # the same values, with no kind named, run
+    cfg.write_text(json.dumps(config))
+    assert run(command, "--config", str(cfg), *(["--trials", "1"] if command == "mc-alpha" else [])) == 0
+
+
+def test_construct_and_verify_never_import_numpy_random(tmp_path):
+    """Sampling draws from random.Random; importing numpy.random alone adds
+    about 6 MiB to every command's peak memory."""
+    graph = tmp_path / "g.col"
+    script = (
+        "import sys\n"
+        "from capforge.cli import main\n"
+        f"assert main(['construct', '--nu', '2', '--n', '8', '--out', {str(graph)!r}]) == 0\n"
+        f"assert main(['verify', {str(graph)!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_config_nu_reaches_jump_demo_and_mc_alpha(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 
@@ -27,7 +28,13 @@ from capforge import (
     sample_simple_jump_graph,
 )
 from capforge import constructions
-from capforge.constructions import from_metadata, orbit_representative, shift_orbit, verify_construction
+from capforge.constructions import (
+    from_metadata,
+    orbit_representative,
+    orbit_representatives,
+    shift_orbit,
+    verify_construction,
+)
 
 params_strategy = st.builds(
     JumpParams,
@@ -403,3 +410,61 @@ def test_from_metadata_refuses_pair_lists():
     meta = json.loads(json.dumps(cg.metadata(), default=np.ndarray.tolist))
     with pytest.raises(ValueError, match=r"must be an \(M, 2\) int64 array, as io.read_metadata returns it"):
         from_metadata(cg.graph, meta)
+
+
+def _randrange_loop(seed: int, sizes) -> list[int]:
+    """The reference _randranges must match: one randrange call per size."""
+    rng = random.Random(seed)
+    return [rng.randrange(m) for m in sizes]
+
+
+def _size_arrays(nu: int, n: int) -> dict[str, np.ndarray]:
+    """The draw sizes of both samplers: each orbit's size, and nu per row pair."""
+    reps = orbit_representatives(nu, n)
+    return {
+        "canonical": np.where((nu % 2 == 0) & (2 * (reps[:, 1] - reps[:, 0]) == nu * n), nu // 2, nu),
+        "simple": np.full(n * (n - 1) // 2, nu),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=2, max_value=64),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from(["canonical", "simple"]),
+)
+def test_randranges_draws_what_randrange_draws(nu, n, seed, kind):
+    sizes = _size_arrays(nu, n)[kind]
+    drawn = constructions._randranges(seed, sizes)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == _randrange_loop(seed, sizes.tolist())
+
+
+@pytest.mark.parametrize("nu, n", [(2, 9), (3, 7), (4, 6)])
+def test_randranges_across_word_chunks(monkeypatch, nu, n):
+    monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)  # many chunks, most draws past the first
+    for sizes in _size_arrays(nu, n).values():
+        for seed in (0, 7, 2**64 - 1):
+            assert constructions._randranges(seed, sizes).tolist() == _randrange_loop(seed, sizes.tolist())
+
+
+def test_randranges_refuses_sizes_it_cannot_draw_in_bulk():
+    with pytest.raises(ValueError, match=r"nu must be below 2\*\*32"):
+        constructions._randranges(0, np.array([2, 1 << 32]))
+    with pytest.raises(ValueError, match="share one threshold"):
+        constructions._randranges(0, np.array([2, 3]))  # 2 << 30 and 3 << 30
+    assert constructions._randranges(0, np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("nu, n", [(2, 3), (2, 8), (3, 5), (4, 4), (5, 3)])
+def test_samplers_match_one_draw_per_orbit_or_row_pair(nu, n):
+    """The samplers against the per-orbit loop they replace: orbit members in
+    ascending representative order, and the row pairs i < j in order."""
+    for seed in (0, 11):
+        rng = random.Random(seed)
+        orbits = [list(c.members[rng.randrange(c.size)]) for c in equivalence_classes(nu, n)]
+        assert sample_jump_graph(JumpParams(nu, n, seed)).removed.tolist() == orbits
+        rng = random.Random(seed)
+        rows = [[i * nu + col, j * nu + col] for i, j in itertools.combinations(range(n), 2) for col in [rng.randrange(nu)]]
+        assert sample_simple_jump_graph(JumpParams(nu, n, seed)).removed.tolist() == rows

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -284,3 +285,105 @@ def test_sidecar_text_of_a_long_pair_array(monkeypatch):
     arr = np.arange(20, dtype=np.int64).reshape(-1, 2)
     for value in (arr, {"removed_edges": arr, "factors": [{"removed_edges": arr[:0]}]}):
         assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+def _same(have, want) -> bool:
+    """Equal parsed sidecars: arrays of one dtype, shape and content, and every
+    other value equal and of the same type."""
+    if isinstance(have, np.ndarray) or isinstance(want, np.ndarray):
+        return isinstance(have, np.ndarray) and isinstance(want, np.ndarray) and have.dtype == want.dtype and np.array_equal(have, want)
+    if isinstance(have, dict):
+        return isinstance(want, dict) and have.keys() == want.keys() and all(_same(have[k], want[k]) for k in have)
+    if isinstance(have, list):
+        return isinstance(want, list) and len(have) == len(want) and all(map(_same, have, want))
+    return type(have) is type(want) and have == want
+
+
+def _json_route(text: str):
+    """What read_metadata gives through json alone, the route of any sidecar
+    not in write_graph's own layout."""
+    try:
+        return json.loads(text, object_hook=gio._pair_arrays)
+    except json.JSONDecodeError:
+        return GraphFormatError
+
+
+def _read_route(path):
+    try:
+        return read_metadata(path)
+    except GraphFormatError:
+        return GraphFormatError
+
+
+SIDECARS = {
+    "canonical": sample_jump_graph(JumpParams(nu=2, n=5, seed=3)),
+    "simple": sample_simple_jump_graph(JumpParams(nu=3, n=5, seed=3)),
+    "product": multi_jump_product(MultiJumpSpec(nus=(2, 3), n1=2, alpha=1.5, seeds=(7, 8))),
+}
+
+
+@pytest.mark.parametrize("kind", SIDECARS)
+def test_own_sidecars_take_the_numpy_path(tmp_path, kind):
+    path = tmp_path / "g.col"
+    write_graph(SIDECARS[kind], path)
+    text = meta_path(path).read_text()
+    assert _same(gio._read_own(text), _json_route(text))
+    assert _same(read_metadata(path), _json_route(text))
+
+
+def _perturb_sidecar(text: str, how: str, rng: random.Random) -> str:
+    """``text`` with one change; number lines are a pair's "<indent><digits>[,]"."""
+    lines = text.split("\n")
+    numbers = [i for i, line in enumerate(lines) if re.fullmatch(r" +[0-9]+,?", line)]
+    if how in ("missing_comma", "trailing_comma"):  # a pair's first number, or its second
+        numbers = [i for i in numbers if lines[i].endswith(",") == (how == "missing_comma")]
+    i = rng.choice(numbers)
+    indent, digits, comma = re.fullmatch(r"( +)([0-9]+)(,?)", lines[i]).groups()
+    if how in ("reindent", "empty_list", "mark"):
+        meta = json.loads(text)
+        if how == "empty_list":
+            target = meta if len(meta["removed_edges"]) else meta["factors"][rng.randrange(len(meta["factors"]))]
+            target["removed_edges"] = []
+        elif how == "mark":
+            meta["note"] = f"{gio._MARK}0"
+        return json.dumps(meta, indent=3 if how == "reindent" else 2, sort_keys=True) + "\n"
+    if how == "crlf":
+        return text.replace("\n", "\r\n")
+    line = {
+        "leading_zero": f"{indent}0{digits}{comma}",
+        "negative": f"{indent}-{digits}{comma}",
+        "past_int64": f"{indent}{2**63 + int(digits)}{comma}",
+        "int64_max": f"{indent}{2**63 - 1}{comma}",
+        "plus": f"{indent}+{digits}{comma}",
+        "float": f"{indent}{digits}.0{comma}",
+        "missing_comma": f"{indent}{digits}",
+        "trailing_comma": f"{indent}{digits},",
+        "two_numbers": f"{indent[:-1]}1 {digits}{comma}",  # same text once digits go
+        "empty_slot": f"{indent}{comma}",
+        "moved_up": f"{indent}{comma}",  # its digits go to the start of the line above
+    }[how]
+    lines[i] = line
+    if how == "moved_up":
+        lines[i - 1] = digits + lines[i - 1]
+    return "\n".join(lines)
+
+
+SIDECAR_PERTURBATIONS = [
+    "none", "leading_zero", "negative", "past_int64", "int64_max", "plus", "float", "reindent", "crlf",
+    "missing_comma", "trailing_comma", "two_numbers", "empty_slot", "moved_up", "empty_list", "mark",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(SIDECARS)), st.sampled_from(SIDECAR_PERTURBATIONS), st.integers(min_value=0, max_value=2**32))
+def test_read_metadata_agrees_with_json_on_perturbed_sidecars(tmp_path_factory, kind, how, seed):
+    """A perturbed sidecar gives what json alone gives, or GraphFormatError
+    where json finds invalid JSON; only write_graph's layout takes numpy."""
+    path = tmp_path_factory.mktemp("meta") / "g.col"
+    write_graph(SIDECARS[kind], path)
+    if how != "none":
+        meta_path(path).write_bytes(_perturb_sidecar(meta_path(path).read_text(), how, random.Random(seed)).encode())
+    text = meta_path(path).read_text()
+    assert _same(_read_route(path), _json_route(text))
+    if kind != "product" and how not in ("none", "crlf"):  # its one list is not write_graph's
+        assert gio._read_own(text) is None
