@@ -344,7 +344,7 @@ def independence_series(
         cg = None
         base = g
         graph_meta = {"construction": None, "N": base.n, "edges": base.edge_count()}
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    digits = sys.get_int_max_str_digits()  # 0: no limit
     too_long = 10**digits if digits else math.inf
     if cg is not None:
         if certificate_size_for(cg, k_max) >= too_long:

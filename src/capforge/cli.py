@@ -214,7 +214,7 @@ def cmd_series(args) -> int:
     cap = _resolve_cap(args.cap)
     mode = args.mode.replace("-", "_")
     try:  # the graph, rebuilt as its construction when a sidecar is present
-        g, meta = gio.read_graph(args.graph), gio.read_metadata(args.graph)
+        g, meta = gio.read_graph(args.graph, cap), gio.read_metadata(args.graph)
         target = g if meta is None else constructions.from_metadata(g, meta)
     except (OSError, ValueError, KeyError) as exc:
         raise ValueError(f"cannot load {args.graph}: {exc}") from None
@@ -367,8 +367,9 @@ def cmd_mc_alpha(args) -> int:
 
 
 def _verify_checks(path: str):
+    cap = _resolve_cap(None)
     try:
-        g = gio.read_graph(path)
+        g = gio.read_graph(path, cap)
     except (OSError, ValueError) as exc:
         return [("graph file parses", False, str(exc))]
     checks = [("graph file parses", True, "")]

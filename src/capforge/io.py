@@ -15,15 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, bitset_rows, make_graph
+from .graphs import DEFAULT_CAP, Graph, bitset_rows, make_graph
 
 GENERATOR_VERSION = "capforge 0.1.0"
 
-# A body as write_graph writes it is this header, then "e u v" lines and
-# nothing else: no line of it matches _OTHER_LINE. (One line at a time, since
-# a repeated group would keep backtracking state for every line.)
-_PLAIN_HEADER = re.compile(r"p edge ([0-9]{1,9}) ([0-9]{1,9})\n")
-_OTHER_LINE = re.compile(r"^(?!e [0-9]{1,9} [0-9]{1,9}$)", re.MULTILINE)
+# A body as write_graph writes it: this header, then "e u v" lines and
+# nothing else. The possessive repeat keeps no backtracking state per line.
+_PLAIN = re.compile(r"p edge ([0-9]{1,9}) ([0-9]{1,9})\n(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
 
 
 class GraphFormatError(ValueError):
@@ -105,32 +103,35 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
         meta_path(path).write_text(_json_text(meta) + "\n", newline="\n")
 
 
-def _read_plain(text: str) -> Graph | None:
+def _read_plain(text: str, cap: int = DEFAULT_CAP) -> Graph | None:
     """The graph of a body in write_graph's own format, or None when the body
-    is in any other form or is not a valid graph."""
+    is in any other form, is not a valid graph or has over ``cap`` vertices."""
     text = text if text.endswith("\n") else text + "\n"
-    header = _PLAIN_HEADER.match(text)
-    if header is None or _OTHER_LINE.search(text, header.end(), len(text) - 1):
+    header = _PLAIN.fullmatch(text)
+    if header is None:
         return None
     n, m = int(header[1]), int(header[2])
-    body = text[header.end() :].replace("e", "")
+    if not 1 <= n <= cap:
+        return None
+    body = text[header.end(2) + 1 :].replace("e", "")  # the edge lines
     ends = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2) - 1
-    if n < 1 or ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
+    if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
         return None
     g = Graph(n, bitset_rows(n, ends))
     return g if g.edge_count() == m else None
 
 
-def read_graph(path) -> Graph:
-    """Parse a graph file. A body in write_graph's own format takes a regex
-    and numpy fast path; any other body, and any invalid one, goes through
-    the line-by-line parser, which raises GraphFormatError with the line."""
+def read_graph(path, cap: int = DEFAULT_CAP) -> Graph:
+    """Parse a graph file, refusing a header of over ``cap`` vertices before
+    anything is allocated for them. A body in write_graph's own format takes a
+    regex and numpy fast path; any other, and any invalid one, goes through the
+    line-by-line parser, which raises GraphFormatError with the line."""
     text = Path(path).read_text()
-    g = _read_plain(text)
-    return g if g is not None else _read_lines(path, text)
+    g = _read_plain(text, cap)
+    return g if g is not None else _read_lines(path, text, cap)
 
 
-def _read_lines(path, text: str) -> Graph:
+def _read_lines(path, text: str, cap: int = DEFAULT_CAP) -> Graph:
     n = None
     m = None
     edges = []
@@ -150,6 +151,8 @@ def _read_lines(path, text: str) -> Graph:
                 raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}") from exc
             if n < 1:
                 raise GraphFormatError(f"{path}:{lineno}: header needs at least one vertex, got {n}")
+            if n > cap:
+                raise GraphFormatError(f"{path}:{lineno}: header has {n} vertices, over the cap of {cap}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"{path}:{lineno}: edge before header")
@@ -192,68 +195,38 @@ def _pair_arrays(obj: dict) -> dict:
     return obj
 
 
-# A removed_edges list as _json_text writes it starts after this key, which
-# starts its line; the list closes on a line of the key's indent.
-_PAIR_KEY = '"removed_edges": [\n'
-_DIGITS = b"0123456789"
+# A removed_edges list as _json_text writes it: its key starts a line, each
+# pair takes three lines two and four spaces deeper, and each number is a
+# non-negative decimal of at most 19 digits, written without leading zeros.
+_NUM = "(?:0|[1-9][0-9]{0,18})"
+_PAIR = rf"\1  \[\n\1    {_NUM},\n\1    {_NUM}\n\1  \]"
+_PAIR_LIST = re.compile(rf'^( *)"removed_edges": \[\n((?:{_PAIR},\n)*+{_PAIR})\n\1\]', re.MULTILINE)
 _PUNCTUATION_TO_SPACES = bytes.maketrans(b"[],", b"   ")
 _INT64_MAX = np.iinfo(np.int64).max  # also what np.fromstring makes of a larger value
 # The string a cut-out list stands as while json parses the rest of a sidecar.
 _MARK = "capforge removed_edges "
 
 
-def _pair_list(body: bytes, indent: str) -> np.ndarray | None:
-    """The (M, 2) array of a removed_edges list whose text between the
-    brackets is ``body``, when that is _json_text's layout at ``indent`` with
-    one non-negative int64 in each number's place, written without leading
-    zeros; else None."""
-    inner, deep = indent + "  ", indent + "    "
-    pair = f"{inner}[\n{deep},\n{deep}\n{inner}],\n".encode()
-    skeleton = body.translate(None, _DIGITS)
-    digits, m = len(body) - len(skeleton), (len(skeleton) + 2) // len(pair)
-    # the layout but for its digits (the last pair has no ",\n")
-    if not m or len(skeleton) + 2 != m * len(pair) or not (pair * m).startswith(skeleton):
-        return None
-    del skeleton
-    # Without spaces, "\n," and "\n\n" are where a pair's first and second
-    # number go; neither is left empty, and there are 2m runs of digits in
-    # all, so there is one on each number's line and none elsewhere.
-    lines = body.translate(None, b" ")
-    if b"\n," in lines or b"\n\n" in lines:
-        return None
-    del lines
-    nums = np.fromstring(body.translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
-    if len(nums) != 2 * m or (nums == _INT64_MAX).any():
-        return None
-    # each run of digits is as long as its value's decimal form
-    if _decimal_width(nums).sum() != digits:
-        return None
-    return nums.reshape(-1, 2)
-
-
 def _read_own(text: str) -> dict | None:
-    """A sidecar in which every removed_edges list in _json_text's layout is
-    parsed by _pair_list and the rest by json, with _pair_arrays. None when no
-    list is in that layout or the rest is not valid JSON, and for a text with
+    """A sidecar in which every removed_edges list that _PAIR_LIST matches is
+    parsed by numpy and the rest by json, with _pair_arrays. None when no list
+    is in that layout or the rest is not valid JSON, and for a text with
     a backslash or _MARK in it, where a string could pass for a cut-out list."""
     if "\\" in text or _MARK in text or not text.isascii():
         return None
-    pieces, arrays, last = [], {}, 0
-    key = text.find(_PAIR_KEY)
-    while key >= 0:
-        indent = text[text.rfind("\n", 0, key) + 1 : key]
-        start, close = key + len(_PAIR_KEY), "\n" + indent + "]"
-        end = text.find(close, start) if indent.strip(" ") == "" else -1
-        pairs = None if end < 0 else _pair_list(text[start:end].encode("ascii"), indent)
-        if pairs is not None:
-            token = f"{_MARK}{len(arrays)}"
-            arrays[token] = pairs
-            pieces += [text[last : start - 2], json.dumps(token)]
-            last = start = end + len(close)
-        key = text.find(_PAIR_KEY, start)
+    arrays = {}
+
+    def cut(match: re.Match) -> str:
+        nums = np.fromstring(match[2].encode().translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
+        if (nums == _INT64_MAX).any():  # possibly past int64: left to json
+            return match[0]
+        token = f"{_MARK}{len(arrays)}"
+        arrays[token] = nums.reshape(-1, 2)
+        return f'{match[1]}"removed_edges": {json.dumps(token)}'
+
+    text = _PAIR_LIST.sub(cut, text)
     if not arrays:
         return None
-    pieces.append(text[last:])
 
     # Each token directly follows a "removed_edges" key, so once the rest
     # parses it is that key's value, where the json route finds its list.
@@ -264,7 +237,7 @@ def _read_own(text: str) -> dict | None:
         return _pair_arrays(obj)
 
     try:
-        return json.loads("".join(pieces), object_hook=hook)
+        return json.loads(text, object_hook=hook)
     except json.JSONDecodeError:
         return None
 

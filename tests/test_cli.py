@@ -662,7 +662,7 @@ def test_memory_error_is_one_line(tmp_path, monkeypatch, capsys, command):
     assert run("construct", "--nu", "2", "--n", "4", "--out", str(g)) == 0
     capsys.readouterr()
 
-    def out_of_memory(path):
+    def out_of_memory(path, cap):
         raise MemoryError("Unable to allocate 448. MiB")
 
     monkeypatch.setattr(gio, "read_graph", out_of_memory)
@@ -848,3 +848,27 @@ def test_no_input_gives_a_traceback(fuzz_fixtures, argv, config, mutation):
     if code == 1 and not lines[0].startswith("usage:"):  # argparse prints its usage first
         assert len(lines) == 1, (argv, lines)
         assert lines[0].startswith(_REFUSALS), (argv, lines)
+
+
+@pytest.mark.parametrize("comment", ["", "c made elsewhere\n"], ids=["own_form", "comment"])
+def test_header_over_the_cap_is_refused(tmp_path, capsys, comment):
+    g = tmp_path / "huge.col"
+    g.write_text(f"{comment}p edge 100000000 0\n")
+    line = 1 + comment.count("\n")
+    refusal = f"{g}:{line}: header has 100000000 vertices, over the cap of 20000"
+    assert run("verify", str(g)) == 2
+    assert capsys.readouterr().out == f"[FAIL] graph file parses ({refusal})\n"
+    assert run("series", str(g), "--k-max", "1") == 1
+    assert _one_line_error(capsys) == f"capforge: error: cannot load {g}: {refusal}"
+
+
+def test_series_and_verify_read_the_cap(tmp_path, monkeypatch, capsys):
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "4", "--out", str(g)) == 0
+    capsys.readouterr()
+    assert run("series", str(g), "--k-max", "1", "--cap", "7") == 1
+    assert _one_line_error(capsys).endswith("header has 8 vertices, over the cap of 7")
+    monkeypatch.setenv("CAPFORGE_CAP", "7")
+    assert run("verify", str(g)) == 2
+    assert "over the cap of 7" in capsys.readouterr().out
+    assert run("series", str(g), "--k-max", "1", "--cap", "8") == 0

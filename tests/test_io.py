@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from capforge import io as gio
 from capforge import (
+    DEFAULT_CAP,
     GraphFormatError,
     JumpParams,
     MultiJumpSpec,
@@ -387,3 +390,110 @@ def test_read_metadata_agrees_with_json_on_perturbed_sidecars(tmp_path_factory, 
     assert _same(_read_route(path), _json_route(text))
     if kind != "product" and how not in ("none", "crlf"):  # its one list is not write_graph's
         assert gio._read_own(text) is None
+
+
+def _graph_error(path) -> str:
+    with pytest.raises(GraphFormatError) as exc:
+        read_graph(path)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("p edge 2 1\np edge 2 1\ne 1 2\n", 2, "duplicate header"),
+        ("p edge 2\n", 1, "bad header 'p edge 2'"),
+        ("p edge x 1\n", 1, "bad header 'p edge x 1'"),
+        ("p edge 2 1\ne 1 2 3\n", 2, "bad edge line 'e 1 2 3'"),
+        ("p edge 2 1\ne 1 x\n", 2, "bad edge line 'e 1 x'"),
+        ("c no header\n\n", None, "missing header"),
+    ],
+)
+def test_line_parser_names_the_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.col"
+    path.write_text(body)
+    assert _graph_error(path) == f"{path}{'' if line is None else f':{line}'}: {message}"
+
+
+def test_sidecar_that_is_not_an_object(tmp_path):
+    path = tmp_path / "g.col"
+    write_graph(cycle_graph(3), path)
+    meta_path(path).write_text("[1, 2]\n")
+    with pytest.raises(GraphFormatError) as exc:
+        read_metadata(path)
+    assert str(exc.value) == f"{meta_path(path)}: expected a JSON object"
+
+
+@pytest.mark.parametrize("comment", ["", "c made elsewhere\n"], ids=["own_form", "comment"])
+def test_header_over_the_cap_is_refused_before_allocating(tmp_path, comment):
+    """A header of 10^8 vertices asks for rows of about 1.1 PiB; it is refused
+    on its line, in the writer's own form and in any other."""
+    path = tmp_path / "huge.col"
+    path.write_text(f"{comment}p edge 100000000 0\n")
+    line = 1 + comment.count("\n")
+    tracemalloc.start()
+    try:
+        message = _graph_error(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == f"{path}:{line}: header has 100000000 vertices, over the cap of {DEFAULT_CAP}"
+    assert peak < 2**20
+    assert gio._read_plain(path.read_text()) is None
+
+
+def test_cap_bounds_both_parsers(tmp_path):
+    path = tmp_path / "g.col"
+    write_graph(cycle_graph(5), path)
+    assert read_graph(path, cap=5) == cycle_graph(5)
+    assert _parse(path, lambda: read_graph(path, cap=4)) == f"GraphFormatError: {path}:1: header has 5 vertices, over the cap of 4"
+
+
+def _one_pair_sidecar(tmp_path) -> Path:
+    path = tmp_path / "g.col"
+    write_graph(cycle_graph(5), path, metadata={"removed_edges": np.array([[1, 2]], dtype=np.int64)})
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, own",
+    [
+        (lambda text: text, True),  # a one-pair list
+        (lambda text: text.replace("    2\n", f"    {10**19}\n"), False),  # a 20-digit number
+        (lambda text: text.replace("\n    ", "\n        "), False),  # pairs deeper than their key allows
+        (lambda text: text.replace(',\n  "removed_edges"', ', "removed_edges"'), False),  # the key does not start its line
+    ],
+    ids=["one_pair", "twenty_digits", "pairs_indent", "key_mid_line"],
+)
+def test_pair_list_pattern_edges_agree_with_json(tmp_path, edit, own):
+    path = _one_pair_sidecar(tmp_path)
+    text = edit(meta_path(path).read_text())
+    meta_path(path).write_text(text)
+    assert (gio._read_own(text) is not None) == own
+    assert _same(read_metadata(path), _json_route(text))
+
+
+@pytest.mark.parametrize("body", ["p edge 3 0\n", "p edge 3 1\ne 1 2", "p edge 3 0"], ids=["no_edges", "no_final_newline", "header_only"])
+def test_plain_pattern_edges_agree_with_line_parser(tmp_path, body):
+    path = tmp_path / "g.col"
+    path.write_text(body)
+    g = gio._read_plain(body)
+    assert g is not None and read_graph(path) == g == gio._read_lines(path, body)
+
+
+def test_own_sidecar_memory_stays_near_its_size(tmp_path):
+    """2^18 pairs, as many as the N=1024 canonical graph removes. The
+    possessive repeats keep no state per pair; a backtracking repeat would
+    add several times the sidecar's size."""
+    path = tmp_path / "g.col"
+    pairs = (np.arange(2**19, dtype=np.int64) * 7919 % 1024).reshape(-1, 2)
+    write_graph(cycle_graph(3), path, metadata={"removed_edges": pairs})
+    size = meta_path(path).stat().st_size
+    tracemalloc.start()
+    try:
+        meta = read_metadata(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(meta["removed_edges"], pairs)
+    assert peak < 5 * size
