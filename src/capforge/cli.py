@@ -274,6 +274,8 @@ def cmd_jump_demo(args) -> int:
             "status": res.status,
             "search_nodes": res.search_nodes,
             "elapsed_secs": round(res.elapsed, 3),
+            "setup_secs": round(res.setup_secs, 3),
+            "search_secs": round(res.search_secs, 3),
         },
         "certificate": {"k": nu, "size": cert_size, "a_k_lower": a_nu},
         "a1_upper": alpha1_hi,

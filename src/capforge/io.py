@@ -66,26 +66,41 @@ def _write_body(g: Graph, f) -> None:
         f.write(("e %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _json_text(value, indent: str = "") -> str:
+def _json_pieces(value, indent: str = ""):
     """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``indent``,
-    where an (M, 2) integer array, such as removed edges, prints as the
-    list of its rows, formatted _EDGE_CHUNK pairs at a time."""
+    in pieces, so that it can be written without being held whole. An
+    (M, 2) integer array, such as removed edges, prints as the list of its
+    rows, one piece per _EDGE_CHUNK pairs."""
     inner = indent + "  "
     if isinstance(value, dict) and value and all(type(k) is str for k in value):
-        body = ",\n".join(f"{inner}{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value))
-        return "{\n" + body + "\n" + indent + "}"
-    if isinstance(value, np.ndarray):
+        sep = "{\n"
+        for k in sorted(value):
+            yield f"{sep}{inner}{json.dumps(k)}: "
+            yield from _json_pieces(value[k], inner)
+            sep = ",\n"
+        yield "\n" + indent + "}"
+    elif isinstance(value, np.ndarray):
         if not len(value):
-            return "[]"
+            yield "[]"
+            return
         deep = inner + "  "
         pair = f"{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
-        chunks = (value[i : i + _EDGE_CHUNK] for i in range(0, len(value), _EDGE_CHUNK))
-        body = ",\n".join(",\n".join([pair] * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
-        return "[\n" + body + "\n" + indent + "]"
-    if isinstance(value, (list, tuple)) and value:
-        body = ",\n".join(inner + _json_text(item, inner) for item in value)
-        return "[\n" + body + "\n" + indent + "]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        sep = "[\n"
+        for start in range(0, len(value), _EDGE_CHUNK):
+            chunk = value[start : start + _EDGE_CHUNK]
+            yield sep
+            yield ",\n".join([pair] * len(chunk)) % tuple(chunk.ravel().tolist())
+            sep = ",\n"
+        yield "\n" + indent + "]"
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _json_pieces(item, inner)
+            sep = ",\n"
+        yield "\n" + indent + "]"
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def write_graph(g, path, metadata: dict | None = None) -> None:
@@ -100,7 +115,9 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
     if metadata is not None:
         meta = dict(metadata)
         meta.setdefault("generator_version", GENERATOR_VERSION)
-        meta_path(path).write_text(_json_text(meta) + "\n", newline="\n")
+        with open(meta_path(path), "w", newline="\n") as f:
+            f.writelines(_json_pieces(meta))
+            f.write("\n")
 
 
 def _read_plain(text: str, cap: int = DEFAULT_CAP) -> Graph | None:
@@ -195,7 +212,7 @@ def _pair_arrays(obj: dict) -> dict:
     return obj
 
 
-# A removed_edges list as _json_text writes it: its key starts a line, each
+# A removed_edges list as _json_pieces writes it: its key starts a line, each
 # pair takes three lines two and four spaces deeper, and each number is a
 # non-negative decimal of at most 19 digits, written without leading zeros.
 _NUM = "(?:0|[1-9][0-9]{0,18})"

@@ -64,6 +64,8 @@ class MISResult:
     certified_upper: int | None = None
     search_nodes: int = 0
     elapsed: float = 0.0
+    setup_secs: float = 0.0  # of elapsed, the part before the first search node
+    search_secs: float = 0.0  # and the rest
 
 
 def brute_force_mis(g: Graph) -> MISResult:
@@ -174,26 +176,48 @@ def mitm_mis(g: Graph) -> MISResult:
     )
 
 
-# Complement rows are permuted this many at a time, so the unpacked bit
+# Adjacency rows are permuted this many at a time, so the unpacked bit
 # matrix stays at _RELABEL_BLOCK * n bytes however large the graph is.
 _RELABEL_BLOCK = 64
 
 
-def _relabel(comp: list[int], order: list[int]) -> list[int]:
-    """Rows of ``comp`` renumbered so that vertex ``order[i]`` becomes ``i``:
+def _relabel(rows: list[int], order: list[int]) -> list[int]:
+    """Bitset ``rows`` renumbered so that vertex ``order[i]`` becomes ``i``:
     row i of the result is row ``order[i]`` with its bits moved the same way."""
     n = len(order)
     perm = np.array(order, dtype=np.intp)
-    rows: list[int] = []
+    out: list[int] = []
     for start in range(0, n, _RELABEL_BLOCK):
-        bits = _unpack_rows([comp[v] for v in order[start : start + _RELABEL_BLOCK]], n)
-        rows.extend(_ints(np.packbits(bits[:, perm], axis=1, bitorder="little")))
-    return rows
+        bits = _unpack_rows([rows[v] for v in order[start : start + _RELABEL_BLOCK]], n)
+        out.extend(_ints(np.packbits(bits[:, perm], axis=1, bitorder="little")))
+    return out
 
 
-def _colour(cands: int, kmin: int, nonadj: list[int]) -> tuple[list[int], list[int]] | None:
-    """Greedy colouring of ``cands``: the vertices coloured above ``kmin``,
-    in colour order, and their colours; None if there are none.
+def _tables(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The exact search's numbering of ``g``'s vertices and its tables.
+
+    ``root_order`` lists the vertices by descending complement degree (that
+    is, ascending degree in ``g``), ties by ascending index. Root-order
+    vertex ``i`` is bit ``n-1-i`` of every mask, so popping a mask's
+    highest bit takes its first vertex in root order. The tables are
+    indexed by a vertex's ``bit_length`` ``b``: ``bit[b]`` is its mask,
+    ``1 << (b - 1)``; ``adj[b]`` its complement neighbours; ``nonadj[b]``
+    the vertices it does not exclude from its colour class, its neighbours
+    in ``g``. Entry 0 of each is unused.
+    """
+    n = g.n
+    root_order = sorted(range(n), key=lambda v: (g.degree(v), v))
+    nonadj = [0, *_relabel(g.adj, root_order[::-1])]
+    bit = [0] + [1 << p for p in range(n)]
+    full = (1 << n) - 1
+    adj = [0] + [full ^ nonadj[b] ^ bit[b] for b in range(1, n + 1)]
+    return root_order, adj, nonadj, bit
+
+
+def _colour(cands: int, kmin: int, nonadj: list[int], bit: list[int]) -> tuple[list[int], list[int]] | None:
+    """Greedy colouring of ``cands``, each class built from the highest
+    candidate bit down: the ``bit_length`` of each vertex coloured above
+    ``kmin``, in colour order, and their colours; None if there are none.
 
     A vertex coloured kmin or less is never branched on: the cutoff only
     rises while a frame is open, and colours rise along the order, so the
@@ -207,9 +231,9 @@ def _colour(cands: int, kmin: int, nonadj: list[int]) -> tuple[list[int], list[i
         color += 1
         q = rest
         while q:
-            low = q & -q
-            rest ^= low
-            q &= nonadj[low.bit_length()]
+            b = q.bit_length()
+            rest ^= bit[b]
+            q &= nonadj[b]
     if color + rest.bit_count() <= kmin:
         return None
     order: list[int] = []
@@ -218,19 +242,19 @@ def _colour(cands: int, kmin: int, nonadj: list[int]) -> tuple[list[int], list[i
         color += 1
         q = rest
         while q:
-            low = q & -q
-            b = low.bit_length()
-            order.append(b - 1)
+            b = q.bit_length()
+            order.append(b)
             colors.append(color)
-            rest ^= low
+            rest ^= bit[b]
             q &= nonadj[b]
     return order, colors
 
 
-def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nodes, deadline, found, stop=None):
+def _search(adj, nonadj, bit, r_mask, size, cands, best, floor_prune, target, max_nodes, deadline, found, stop=None):
     """The branch and bound below the node ``(r_mask, size, cands)``, which it
     enters first: ``r_mask`` is the clique so far, of ``size`` vertices, and
-    ``cands`` the vertices that extend it.
+    ``cands`` the vertices that extend it, all numbered as ``_tables``
+    numbers them; ``adj``, ``nonadj`` and ``bit`` are its tables.
 
     Every incumbent improvement over ``best`` is appended to ``found`` as
     ``(nodes, size, mask)``, ``nodes`` being the nodes entered so far.
@@ -257,7 +281,7 @@ def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nod
             ):
                 return nodes, "cut"
             cutoff = best if best > floor_prune else floor_prune
-            coloured = _colour(cands, cutoff - size, nonadj)
+            coloured = _colour(cands, cutoff - size, nonadj, bit)
             if coloured is not None:
                 order, colors = coloured
                 stack.append([r_mask, size, order, colors, len(order) - 1, cands])
@@ -270,9 +294,9 @@ def _search(adj, nonadj, r_mask, size, cands, best, floor_prune, target, max_nod
             cutoff = best if best > floor_prune else floor_prune
             if size + colors[i] <= cutoff:
                 break
-            v = order[i]
-            low = 1 << v
-            sub = local & adj[v]
+            b = order[i]
+            low = bit[b]
+            sub = local & adj[b]
             local ^= low
             i -= 1
             if sub:
@@ -303,10 +327,10 @@ def _init_worker(*args) -> None:
 
 
 def _search_child(child: tuple[int, int]) -> tuple[int, list, str]:
-    adj, nonadj, best, floor_prune, target, max_nodes, deadline, stop = _WORKER_ARGS
+    adj, nonadj, bit, best, floor_prune, target, max_nodes, deadline, stop = _WORKER_ARGS
     r_mask, cands = child
     found: list = []
-    nodes, state = _search(adj, nonadj, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found, stop)
+    nodes, state = _search(adj, nonadj, bit, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found, stop)
     return nodes, found, state
 
 
@@ -336,7 +360,7 @@ def _merge(results, best, max_nodes, found) -> tuple[int, str]:
     return nodes, "done"
 
 
-def _split_search(adj, nonadj, full, best, floor_prune, target, max_nodes, deadline, found, workers):
+def _split_search(adj, nonadj, bit, full, best, floor_prune, target, max_nodes, deadline, found, workers):
     """``_search`` from the root, with the root's subtrees run by ``workers``
     processes; returns and appends to ``found`` exactly what ``_search`` would.
 
@@ -353,12 +377,12 @@ def _split_search(adj, nonadj, full, best, floor_prune, target, max_nodes, deadl
     # With the cutoff fixed, the root's pop loop branches on every vertex the
     # colouring records. A pop with no candidates left is a set of one
     # vertex, never above the greedy incumbent, so only the children matter.
-    order, _ = _colour(full, floor_prune, nonadj) or ([], [])
+    order, _ = _colour(full, floor_prune, nonadj, bit) or ([], [])
     children = []
     local = full
-    for v in reversed(order):
-        low = 1 << v
-        sub = local & adj[v]
+    for b in reversed(order):
+        low = bit[b]
+        sub = local & adj[b]
         if sub:
             children.append((low, sub))
         local ^= low
@@ -369,7 +393,7 @@ def _split_search(adj, nonadj, full, best, floor_prune, target, max_nodes, deadl
     pool = ProcessPoolExecutor(
         min(workers, len(children)),
         initializer=_init_worker,
-        initargs=(adj, nonadj, best, floor_prune, target, child_budget, deadline, stop),
+        initargs=(adj, nonadj, bit, best, floor_prune, target, child_budget, deadline, stop),
     )
     try:
         return _merge(pool.map(_search_child, children), best, max_nodes, found)
@@ -397,38 +421,33 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     budget = budget or SolverBudget()
     target = budget.target
     n = g.n
-    comp = g.complement_adjacency()
-    root_order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
-    adj = _relabel(comp, root_order)
+    root_order, adj, nonadj, bit = _tables(g)
     full = (1 << n) - 1
-    # nonadj[v + 1]: the candidates v does not exclude from its colour class
-    # (v itself and its complement neighbours removed), indexed by the
-    # bit_length of 1 << v
-    nonadj = [0] + [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
 
     # greedy clique in the complement as the incumbent
     p = full
     mask = 0
     while p:
-        low = p & -p
-        mask |= low
-        p &= adj[low.bit_length() - 1]
+        b = p.bit_length()
+        mask |= bit[b]
+        p &= adj[b]
     best = mask.bit_count()
 
     floor_prune = target - 1 if target is not None else 0
     deadline = t0 + budget.max_time if budget.max_time is not None else None
     found = [(0, best, mask)]
+    t_search = time.perf_counter()
     if target is not None and best >= target:
         nodes, state = 0, "hit"
     elif target is not None and budget.workers > 1:
         nodes, state = _split_search(
-            adj, nonadj, full, best, floor_prune, target, budget.max_nodes, deadline, found, budget.workers
+            adj, nonadj, bit, full, best, floor_prune, target, budget.max_nodes, deadline, found, budget.workers
         )
     else:
-        nodes, state = _search(adj, nonadj, 0, 0, full, best, floor_prune, target, budget.max_nodes, deadline, found)
+        nodes, state = _search(adj, nonadj, bit, 0, 0, full, best, floor_prune, target, budget.max_nodes, deadline, found)
     _, best, best_mask = found[-1]
 
-    members = frozenset(root_order[i] for i in range(n) if best_mask >> i & 1)
+    members = frozenset(root_order[n - 1 - p] for p in range(n) if best_mask >> p & 1)
     certified_upper = None
     if state == "done":
         if target is None:
@@ -438,23 +457,34 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
             status = "exact" if best == certified_upper else "upper_bound_certified"
     else:
         status = "lower_bound"
+    t_end = time.perf_counter()
     return MISResult(
         members=members,
         size=best,
         status=status,
         certified_upper=certified_upper,
         search_nodes=nodes,
-        elapsed=time.perf_counter() - t0,
+        elapsed=t_end - t0,
+        setup_secs=t_search - t0,
+        search_secs=t_end - t_search,
     )
 
 
 def clique_cover_upper_bound(g: Graph) -> int:
     """Greedy partition of the vertices into cliques; the part count bounds
     the independence number from above (an independent set meets each clique
-    at most once). The parts are _colour's classes on adjacency: each takes
-    the lowest uncovered vertex, then keeps only its neighbours."""
-    coloured = _colour((1 << g.n) - 1, 0, [0, *g.adj])
-    return coloured[1][-1] if coloured else 0
+    at most once). Each part takes the lowest uncovered vertex, then keeps
+    only its neighbours."""
+    parts = 0
+    rest = (1 << g.n) - 1
+    while rest:
+        parts += 1
+        q = rest
+        while q:
+            low = q & -q
+            rest ^= low
+            q &= g.adj[low.bit_length() - 1]
+    return parts
 
 
 def _greedy_is(g: Graph) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from capforge import io as gio
@@ -270,24 +270,43 @@ int_pairs = st.lists(st.tuples(st.integers(), st.integers()) | st.lists(st.integ
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 # (M, 2) int64 arrays, as removed edges are held; M = 0 included
 pair_arrays = st.lists(st.tuples(int64s, int64s), max_size=4).map(lambda p: np.array(p, dtype=np.int64).reshape(-1, 2))
+
+
+def _containers(inner):
+    # A named function, not a lambda: Hypothesis reads extend's source to see
+    # that it uses its argument, and warns when it cannot tell.
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5) | int_pairs | pair_arrays,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    _containers,
     max_leaves=20,
 )
+
+
+def _dict_in_a_container(value) -> bool:
+    # Only _containers makes dicts, so a dict inside a list or dict was made by recursing.
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return any(isinstance(item, dict) for item in items)
+
+
+def test_json_values_nest_a_container_in_a_container():
+    nested = find(json_values, _dict_in_a_container, settings=settings(database=None), random=random.Random(0))
+    assert nested in ([{}], {"": {}})
 
 
 @given(json_values)
 def test_sidecar_text_matches_json_dumps(value):
     # json.dumps sees each array as the list of its rows
-    assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert "".join(gio._json_pieces(value)) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def test_sidecar_text_of_a_long_pair_array(monkeypatch):
     monkeypatch.setattr(gio, "_EDGE_CHUNK", 3)  # several chunks, the last one short
     arr = np.arange(20, dtype=np.int64).reshape(-1, 2)
     for value in (arr, {"removed_edges": arr, "factors": [{"removed_edges": arr[:0]}]}):
-        assert gio._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        assert "".join(gio._json_pieces(value)) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 def _same(have, want) -> bool:
@@ -497,3 +516,21 @@ def test_own_sidecar_memory_stays_near_its_size(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(meta["removed_edges"], pairs)
     assert peak < 5 * size
+
+
+def test_sidecar_is_written_without_holding_its_text(tmp_path, monkeypatch):
+    """2^18 pairs, as many as the N=1024 canonical graph removes, written
+    4,096 pairs at a time: the write holds one chunk's text and ints, not
+    the whole sidecar's text."""
+    monkeypatch.setattr(gio, "_EDGE_CHUNK", 4096)
+    path = tmp_path / "g.col"
+    pairs = (np.arange(2**19, dtype=np.int64) * 7919 % 1024).reshape(-1, 2)
+    tracemalloc.start()
+    try:
+        write_graph(cycle_graph(3), path, metadata={"removed_edges": pairs})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = meta_path(path).stat().st_size
+    assert np.array_equal(read_metadata(path)["removed_edges"], pairs)
+    assert peak < size / 4

@@ -25,7 +25,7 @@ from capforge import (
     sample_jump_graph,
     strong_product,
 )
-from capforge.solver import _merge, _search
+from capforge.solver import _merge, _search, _tables
 
 
 def random_graph(n: int, density: float, seed: int):
@@ -239,6 +239,11 @@ class TestBranchAndBound:
         assert sizes == sorted(sizes)
         assert sizes[-1] == mitm_mis(g).size
 
+    def test_elapsed_is_setup_then_search(self):
+        res = max_independent_set(_refute_256(0), SolverBudget(target=16))  # 3,393 nodes
+        assert res.setup_secs > 0 and res.search_secs > 0
+        assert res.setup_secs + res.search_secs == pytest.approx(res.elapsed)
+
     def test_target_refuted(self):
         res = max_independent_set(cycle_graph(5), SolverBudget(target=3))
         assert res.certified_upper == 2
@@ -426,13 +431,12 @@ class TestRootSplit:
     def test_search_stops_within_64_nodes_of_the_stop_event(self):
         # how the parent halts the subtrees still running once the merge is done
         g = _refute_256(0)  # refuting 16 takes 3,393 nodes
-        adj = g.complement_adjacency()
+        _, adj, nonadj, bit = _tables(g)
         full = (1 << g.n) - 1
-        nonadj = [0] + [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
         stop = multiprocessing.Event()
-        assert _search(adj, nonadj, 0, 0, full, 1, 15, 16, None, None, [], stop)[1] == "done"
+        assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], stop)[1] == "done"
         stop.set()
-        assert _search(adj, nonadj, 0, 0, full, 1, 15, 16, None, None, [], stop) == (64, "cut")
+        assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], stop) == (64, "cut")
 
     def test_node_budget_cut_matches_sequential(self):
         g = _refute_256(0)
@@ -451,7 +455,28 @@ class TestRootSplit:
         assert split == _split_fields(_refute_256(0), target=11)
 
 
+def _reference_clique_cover(g):
+    """Part count of the greedy clique cover, with plain lists: each part takes
+    the lowest uncovered vertex, then the lowest uncovered vertex adjacent to
+    every vertex taken so far, until there is none."""
+    uncovered = list(range(g.n))
+    parts = 0
+    while uncovered:
+        parts += 1
+        cands = uncovered
+        while cands:
+            v = cands[0]
+            uncovered = [u for u in uncovered if u != v]
+            cands = [u for u in cands[1:] if g.adjacent(v, u)]
+    return parts
+
+
 class TestCliqueCover:
+    @given(dense_or_sparse_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_count_as_the_reference_cover(self, g):
+        assert clique_cover_upper_bound(g) == _reference_clique_cover(g)
+
     def test_k6(self):
         assert clique_cover_upper_bound(complete_graph(6)) == 1
 
