@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import DEFAULT_CAP, Graph, bitset_rows, edge_pairs, is_independent, power_view, strong_product
+from .graphs import DEFAULT_CAP, Graph, _chunks, bitset_rows, edge_pairs, is_independent, power_view, strong_product
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,46 @@ def shift_orbit(x: int, y: int, nu: int, n: int) -> list[tuple[int, int]]:
     return seen
 
 
-def orbit_representatives(nu: int, n: int) -> np.ndarray:
-    """Representatives (least members) of the shift orbits, in ascending
-    order, as an (R, 2) int64 array.
+def _orbit_groups(nu: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The groups orbit_representatives lists its pairs in, in order: for each
+    residue x and each q < nu, the pairs (x, y) with y running up from ystart
+    below (q+1)*n. Returns x, ystart and the pair count of each group.
 
-    The least member of an orbit starts at the smaller residue mod n: for each
-    residue x and each q < nu, the pairs (x, y) with q*n + x < y < (q+1)*n.
-    When both ends share a residue, the pairs j and nu - j steps of n apart
-    are one orbit, so (x, q*n + x) is kept only for 0 < q <= nu/2.
+    The least member of an orbit starts at the smaller residue mod n, so
+    q*n + x < y. When both ends share a residue, the pairs j and nu - j
+    steps of n apart are one orbit, so (x, q*n + x) is kept only for
+    0 < q <= nu/2.
     """
     x = np.repeat(np.arange(n, dtype=np.int64), nu)
     q = np.tile(np.arange(nu, dtype=np.int64), n)
     same = (q > 0) & (q <= nu // 2)
-    sizes = n - 1 - x + same  # pairs per (x, q)
-    reps = np.empty((sizes.sum(), 2), np.int64)
-    reps[:, 0] = np.repeat(x, sizes)
-    y = reps[:, 1]
-    y[:] = np.arange(len(reps))
-    y -= np.repeat(np.cumsum(sizes) - sizes, sizes)
-    y += np.repeat(q * n + x + 1 - same, sizes)
+    return x, q * n + x + 1 - same, n - 1 - x + same
+
+
+def orbit_representatives(nu: int, n: int) -> np.ndarray:
+    """Representatives (least members) of the shift orbits, in ascending
+    order, as an (R, 2) int64 array, filled _EDGE_CHUNK rows at a time, so
+    that nothing R-sized but the result is built."""
+    x, ystart, sizes = _orbit_groups(nu, n)
+    first = np.cumsum(sizes) - sizes  # each group's first row
+    reps = np.empty((int(first[-1] + sizes[-1]), 2), np.int64)
+    lo = 0
+    for chunk in _chunks(reps):
+        row = np.arange(lo, lo + len(chunk))
+        group = np.searchsorted(first, row, side="right") - 1  # of equal starts, the last is not empty
+        chunk[:, 0] = x[group]
+        chunk[:, 1] = ystart[group] + row - first[group]
+        lo += len(chunk)
     return reps
+
+
+def _orbit_index(pairs: np.ndarray, nu: int, n: int) -> np.ndarray:
+    """The position, in orbit_representatives(nu, n), of the orbit of each
+    distinct-vertex pair of an (M, 2) array."""
+    reps = _representatives_of(pairs, nu, n)
+    x, ystart, sizes = _orbit_groups(nu, n)
+    group = reps[:, 0] * nu + reps[:, 1] // n
+    return (np.cumsum(sizes) - sizes - ystart)[group] + reps[:, 1]
 
 
 def _representatives_of(pairs: np.ndarray, nu: int, n: int) -> np.ndarray:
@@ -256,9 +276,10 @@ def complete_minus(N: int, removed) -> Graph:
     if N < 1:
         raise ValueError("n must be positive")
     pairs = edge_pairs(removed)
-    bad = ((pairs < 0) | (pairs >= N)).any(axis=1)
-    if bad.any():
-        raise ValueError(f"removed edge {tuple(pairs[bad.argmax()].tolist())} out of range for N={N}")
+    for chunk in _chunks(pairs):
+        bad = ((chunk < 0) | (chunk >= N)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"removed edge {tuple(chunk[bad.argmax()].tolist())} out of range for N={N}")
     return Graph(N, bitset_rows(N, pairs, complement=True))
 
 
@@ -267,47 +288,54 @@ def complete_minus(N: int, removed) -> Graph:
 _WORD_CHUNK = 1 << 12
 
 
-def _randranges(seed: int, sizes: np.ndarray) -> np.ndarray:
-    """``[random.Random(seed).randrange(m) for m in sizes]`` as an int64 array,
-    from the generator's 32-bit words drawn in bulk.
+def _randranges(seed: int, sizes_chunks):
+    """For each int64 array m of ``sizes_chunks`` in turn, the draws
+    ``[rng.randrange(x) for x in m]`` of one ``rng = random.Random(seed)``,
+    as an int64 array, from the generator's 32-bit words drawn in bulk.
 
     randrange(m) takes words w until w >> (32 - k) < m, where k is
     m.bit_length(), and returns that value. Sizes that share the threshold
     m << (32 - k), as nu and nu/2 do, accept the same words, so the accepted
     words, in order, are the draws. getrandbits(32 * K) holds the next K
-    words, the first in the lowest bits.
+    words, the first in the lowest bits. Accepted words a chunk does not
+    use are kept for the next.
     """
-    if len(sizes) and sizes.max() >= 1 << 32:
-        raise ValueError(f"nu must be below 2**32 to sample, got {int(sizes.max())}")
-    first = int(sizes[0]) if len(sizes) else 1
-    threshold = first << (32 - first.bit_length())
     rng = random.Random(seed)
-    out = np.empty(len(sizes), np.int64)
-    done = 0
-    while done < len(out):
-        count = min(_WORD_CHUNK, 2 * (len(out) - done) + 64)  # 2 words per draw at worst, on average
-        words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
-        kept = words[words < threshold][: len(out) - done]
-        m = sizes[done : done + len(kept)]
-        shift = 32 - np.frexp(m)[1]  # 32 - m.bit_length()
-        if (m << shift != threshold).any():
+    threshold = None
+    spare = np.empty(0, np.uint32)  # accepted words not drawn on yet
+    for sizes in sizes_chunks:
+        if len(sizes) and sizes.max() >= 1 << 32:
+            raise ValueError(f"nu must be below 2**32 to sample, got {int(sizes.max())}")
+        shift = 32 - np.frexp(sizes)[1]  # 32 - m.bit_length()
+        if threshold is None and len(sizes):
+            threshold = int(sizes[0]) << int(shift[0])
+        if (sizes << shift != threshold).any():
             raise ValueError("sizes must share one threshold m << (32 - m.bit_length())")
-        out[done : done + len(kept)] = kept >> shift
-        done += len(kept)
-    return out
+        out = np.empty(len(sizes), np.int64)
+        done = 0
+        while done < len(out):
+            if not len(spare):
+                count = min(_WORD_CHUNK, 2 * (len(out) - done) + 64)  # 2 words per draw at worst, on average
+                words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+                spare = words[words < threshold]
+            kept, spare = spare[: len(out) - done], spare[len(out) - done :]
+            out[done : done + len(kept)] = kept >> shift[done : done + len(kept)]
+            done += len(kept)
+        yield out
 
 
 def _canonical_removed(params: JumpParams) -> np.ndarray:
-    """The edges sample_jump_graph removes, as an (M, 2) array."""
+    """The edges sample_jump_graph removes, as an (M, 2) array: each orbit's
+    representative moved by its draw, _EDGE_CHUNK orbits at a time."""
     nu, n, N = params.nu, params.n, params.N
     pairs = orbit_representatives(nu, n)
+    chunks = _chunks(pairs)
     # for even nu the pairs N/2 apart close after nu/2 shifts
-    sizes = np.where((nu % 2 == 0) & (2 * (pairs[:, 1] - pairs[:, 0]) == N), nu // 2, nu)
-    t = _randranges(params.seed, sizes)
-    del sizes
-    pairs += (t * n)[:, None]
-    pairs %= N
-    pairs.sort(axis=1)
+    sizes = (np.where((nu % 2 == 0) & (2 * (c[:, 1] - c[:, 0]) == N), nu // 2, nu) for c in chunks)
+    for chunk, t in zip(chunks, _randranges(params.seed, sizes)):
+        chunk += (t * n)[:, None]
+        chunk %= N
+        chunk.sort(axis=1)
     return pairs
 
 
@@ -365,7 +393,7 @@ def _simple_removed(params: JumpParams) -> np.ndarray:
     """The edges sample_simple_jump_graph removes, as an (M, 2) array."""
     nu, n = params.nu, params.n
     i, j = np.triu_indices(n, k=1)
-    col = _randranges(params.seed, np.full(len(i), nu))
+    col = next(_randranges(params.seed, [np.full(len(i), nu)]))
     return np.stack((i * nu + col, j * nu + col), axis=1)
 
 
@@ -498,6 +526,31 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
+def _orbit_checks(chunks: list[np.ndarray], nu: int, n: int) -> list[tuple[str, bool, str]]:
+    """verify_construction's checks of a canonical sidecar's removed pairs,
+    given in chunks: the orbit count, each pair that is not a vertex pair
+    (u < v), and one removed pair per orbit, counted in one vector holding
+    the orbit index of each valid pair."""
+    N = nu * n
+    classes = int(_orbit_groups(nu, n)[2].sum())
+    checks = [("class count matches closed form", classes == expected_class_count(nu, n), f"{classes} classes")]
+    hits, filled = np.empty(sum(map(len, chunks)), np.int64), 0
+    for c in chunks:
+        valid = (0 <= c[:, 0]) & (c[:, 0] < c[:, 1]) & (c[:, 1] < N)
+        checks += [("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair") for pair in c[~valid].tolist()]
+        index = _orbit_index(c[valid], nu, n)
+        hits[filled : filled + len(index)] = index
+        filled += len(index)
+    hits = hits[:filled]
+    counts = np.bincount(hits, minlength=classes)
+    multi = []
+    if (counts > 1).any():  # the classes hit twice, in order of first hit
+        twice = list(dict.fromkeys(hits[counts[hits] > 1].tolist()))
+        multi = [tuple(rep) for rep in orbit_representatives(nu, n)[twice].tolist()]
+    detail = f"classes hit twice: {multi}; classes missed: {int((counts == 0).sum())}"
+    return checks + [("one removed edge per class", bool((counts == 1).all()), detail)]
+
+
 def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, bool, str]]:
     """Re-check a construction that from_metadata rebuilt from a graph and
     its sidecar ``meta``: (name, ok, detail) per check, in a fixed order.
@@ -528,35 +581,23 @@ def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, boo
 
     nu, n, N = cg.params.nu, cg.params.n, g.n
     removed = cg.removed
-    u, v = removed[:, 0], removed[:, 1]
-    ok_range = ((removed >= 0) & (removed < N)).all() and (u != v).all()
+    chunks = _chunks(removed)
+    ok_range = all(((c >= 0) & (c < N)).all() and (c[:, 0] != c[:, 1]).all() for c in chunks)
     check("removed edges in range", ok_range)
     if ok_range:
         check("graph = K_N minus removed edges", complete_minus(N, removed) == g)
     if cg.kind == "canonical":
-        reps = orbit_representatives(nu, n)
-        check("class count matches closed form", len(reps) == expected_class_count(nu, n), f"{len(reps)} classes")
-        valid = (0 <= u) & (u < v) & (v < nu * n)
-        for pair in removed[~valid].tolist():
-            check("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair")
-        hits = _representatives_of(removed[valid], nu, n)
-        codes = hits[:, 0] * (nu * n) + hits[:, 1]
-        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        multi = [tuple(rep) for rep in hits[np.sort(first[counts > 1])].tolist()]
-        check(
-            "one removed edge per class",
-            np.array_equal(np.sort(codes), reps[:, 0] * (nu * n) + reps[:, 1]),
-            f"classes hit twice: {multi}; classes missed: {len(reps) - len(first)}",
-        )
-        resample = _canonical_removed(cg.params)
+        checks += _orbit_checks(chunks, nu, n)
+        resample = _canonical_removed
     else:
         check("one removed edge per row pair", len(removed) == n * (n - 1) // 2)
+        u, v = removed[:, 0], removed[:, 1]
         rows = removed // nu
         check("removed edges join equal columns of distinct rows", ((u % nu == v % nu) & (rows[:, 0] != rows[:, 1])).all())
         row_pairs = np.unique(np.sort(rows, axis=1), axis=0)
         check("row pairs all distinct", len(row_pairs) == len(removed))
-        resample = _simple_removed(cg.params)
-    check("seed reproduces removed edges", np.array_equal(resample, removed))
+        resample = _simple_removed
+    check("seed reproduces removed edges", np.array_equal(resample(cg.params), removed))
     ((k, size, ok),) = check_certificate(cg)
     check(
         "certificate independent in power view",

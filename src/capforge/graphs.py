@@ -16,6 +16,10 @@ import numpy as np
 
 DEFAULT_CAP = 20_000
 _BLOCK_BITS = 1 << 22  # unpacked bits per block of rows
+# Bulk work on edges goes this many pairs (or, for text, bytes) at a time, so
+# that one chunk's temporaries are all that exist beside a command's result,
+# however large the graph is. io and constructions read it here.
+_EDGE_CHUNK = 1 << 14
 
 
 class CapExceeded(ValueError):
@@ -80,10 +84,11 @@ class Graph:
                 raise AssertionError(f"asymmetric pair ({u},{v})")
 
 
-def _row_blocks(n: int, width: int | None = None):
+def _row_blocks(n: int, width: int | None = None, budget: int | None = None):
     """(lo, hi) bounds of consecutive blocks of rows, ``width`` bytes (default
-    n) per row, each at most _BLOCK_BITS bytes unless one row is wider."""
-    step = max(1, _BLOCK_BITS // max(width or n, 1))
+    n) per row, each at most ``budget`` (default _BLOCK_BITS) bytes unless one
+    row is wider."""
+    step = max(1, (budget or _BLOCK_BITS) // max(width or n, 1))
     return ((lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
@@ -111,17 +116,31 @@ def edge_pairs(edges) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _chunks(pairs: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views of ``pairs``, _EDGE_CHUNK rows each but the last."""
+    return [pairs[lo : lo + _EDGE_CHUNK] for lo in range(0, len(pairs), _EDGE_CHUNK)]
+
+
+def _set_pairs(packed: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Set bit v of packed row u, for each u, v in turn."""
+    np.bitwise_or.at(packed, (u, v >> 3), np.left_shift(1, v & 7).astype(np.uint8))
+
+
+def _add_edges(packed: np.ndarray, pairs: np.ndarray) -> None:
+    """Set both bits of each in-range pair of ``pairs`` in packed rows."""
+    _set_pairs(packed, pairs[:, 0], pairs[:, 1])
+    _set_pairs(packed, pairs[:, 1], pairs[:, 0])
+
+
 def bitset_rows(n: int, pairs: np.ndarray, complement: bool = False) -> list[int]:
     """Adjacency rows of the graph on n vertices with the edges ``pairs``, an
-    (M, 2) array of in-range endpoints (duplicates collapse); of its
-    complement instead when ``complement`` is set."""
-    nbytes = (n + 7) // 8
-    packed = np.zeros((n, nbytes), np.uint8)
-    u, v = pairs[:, 0], pairs[:, 1]
-    diagonal = np.arange(n) if complement else np.empty(0, np.int64)  # kept clear in a complement
-    for a, b in ((u, v), (v, u), (diagonal, diagonal)):
-        np.bitwise_or.at(packed, (a, b >> 3), np.left_shift(1, b & 7).astype(np.uint8))
+    (M, 2) array of in-range endpoints (duplicates collapse), set _EDGE_CHUNK
+    pairs at a time; of its complement instead when ``complement`` is set."""
+    packed = np.zeros((n, (n + 7) // 8), np.uint8)
+    for chunk in _chunks(pairs):
+        _add_edges(packed, chunk)
     if complement:
+        _set_pairs(packed, np.arange(n), np.arange(n))  # kept clear in a complement
         np.invert(packed, out=packed)
         packed[:, -1] &= np.uint8((1 << (n % 8 or 8)) - 1)  # the bits of the last byte that are vertices
     return _ints(packed)
@@ -273,7 +292,9 @@ def _is_independent_view(view: PowerGraphView, members: list) -> bool:
         acc = None
         for c in range(view.k):
             col = tuples[lo:hi, c]
-            bits = aoe[:, col >> 3] >> (col & 7).astype(np.uint8) & 1
+            bits = aoe[:, col >> 3]  # a new array, shifted and masked in place
+            bits >>= (col & 7).astype(np.uint8)
+            bits &= 1
             rows = np.packbits(bits, axis=1, bitorder="little")[where[:, c]]
             acc = rows if acc is None else np.bitwise_and(acc, rows, out=acc)
         own = np.arange(hi - lo)

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import DEFAULT_CAP, Graph, bitset_rows, make_graph
+from . import graphs
+from .graphs import DEFAULT_CAP, Graph, _add_edges, _chunks, _ints, _row_blocks, _unpack_rows, make_graph
 
 GENERATOR_VERSION = "capforge 0.1.0"
 
 # A body as write_graph writes it: this header, then "e u v" lines and
 # nothing else. The possessive repeat keeps no backtracking state per line.
-_PLAIN = re.compile(r"p edge ([0-9]{1,9}) ([0-9]{1,9})\n(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
+_PLAIN = re.compile(rb"p edge ([0-9]{1,9}) ([0-9]{1,9})\n(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
 
 
 class GraphFormatError(ValueError):
@@ -33,37 +34,21 @@ def meta_path(path) -> Path:
     return p.with_name(p.name + ".meta.json")
 
 
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
-def _decimal_width(x: np.ndarray) -> np.ndarray:
-    """The number of decimal digits of each non-negative int64 in x."""
-    return np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1
-
-
-def _string_order_key(x: np.ndarray) -> np.ndarray:
-    """Integers keyed so that keys order like their decimal strings: the
-    digits padded with zeros to a common width, then the digit count."""
-    width = len(str(int(x.max(initial=1))))
-    digits = _decimal_width(x)
-    return x * 10 ** (width - digits) * (width + 1) + digits
-
-
-# Edge lines are formatted this many at a time, so the Python ints and the
-# text of one chunk are all that exist at once, however large the graph is.
-_EDGE_CHUNK = 1 << 16
-
-
 def _write_body(g: Graph, f) -> None:
-    """Write the header and g's 1-based "e u v" lines, sorted as strings, to f."""
-    edges = g.edge_array()
-    edges += 1
-    u, v = edges.T
-    edges = edges[np.lexsort((_string_order_key(v), _string_order_key(u)))]
-    f.write(f"p edge {g.n} {len(edges)}\n")
-    for start in range(0, len(edges), _EDGE_CHUNK):
-        chunk = edges[start : start + _EDGE_CHUNK]
-        f.write(("e %d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+    """Write the header and g's 1-based "e u v" lines, sorted as strings, to f:
+    rows u in the decimal-string order of their labels, each with its
+    neighbours v > u in that order, a block of at most _EDGE_CHUNK bits of
+    rows at a time."""
+    n = g.n
+    order = np.array(sorted(range(n), key=lambda x: str(x + 1)))  # vertices by label string
+    f.write(f"p edge {n} {g.edge_count()}\n")
+    for lo, hi in _row_blocks(n, n, graphs._EDGE_CHUNK):
+        u = order[lo:hi]
+        bits = _unpack_rows([g.adj[x] for x in u.tolist()], n)[:, order]
+        bits &= order > u[:, None]
+        rows, cols = np.nonzero(bits)
+        lines = np.stack((u[rows], order[cols]), axis=1) + 1
+        f.write(("e %d %d\n" * len(lines)) % tuple(lines.ravel().tolist()))
 
 
 def _json_pieces(value, indent: str = ""):
@@ -86,8 +71,7 @@ def _json_pieces(value, indent: str = ""):
         deep = inner + "  "
         pair = f"{inner}[\n{deep}%d,\n{deep}%d\n{inner}]"
         sep = "[\n"
-        for start in range(0, len(value), _EDGE_CHUNK):
-            chunk = value[start : start + _EDGE_CHUNK]
+        for chunk in _chunks(value):
             yield sep
             yield ",\n".join([pair] * len(chunk)) % tuple(chunk.ravel().tolist())
             sep = ",\n"
@@ -120,32 +104,45 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
             f.write("\n")
 
 
-def _read_plain(text: str, cap: int = DEFAULT_CAP) -> Graph | None:
+def _text_chunks(data: bytes, start: int, end: int, mark: bytes):
+    """data[start:end] in consecutive pieces of about _EDGE_CHUNK bytes, each
+    ending just past a ``mark`` (a line or pair end) or at ``end``."""
+    while start < end:
+        cut = data.find(mark, start + graphs._EDGE_CHUNK - 1, end)
+        cut = end if cut < 0 else cut + len(mark)
+        yield data[start:cut]
+        start = cut
+
+
+def _read_plain(data: bytes, cap: int = DEFAULT_CAP) -> Graph | None:
     """The graph of a body in write_graph's own format, or None when the body
-    is in any other form, is not a valid graph or has over ``cap`` vertices."""
-    text = text if text.endswith("\n") else text + "\n"
-    header = _PLAIN.fullmatch(text)
+    is in any other form, is not a valid graph or has over ``cap`` vertices.
+    Its edge lines are decoded a chunk at a time into packed rows."""
+    data = data if data.endswith(b"\n") else data + b"\n"
+    header = _PLAIN.fullmatch(data)
     if header is None:
         return None
     n, m = int(header[1]), int(header[2])
     if not 1 <= n <= cap:
         return None
-    body = text[header.end(2) + 1 :].replace("e", "")  # the edge lines
-    ends = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2) - 1
-    if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
-        return None
-    g = Graph(n, bitset_rows(n, ends))
+    packed = np.zeros((n, (n + 7) // 8), np.uint8)
+    for chunk in _text_chunks(data, header.end(2) + 1, len(data), b"\n"):
+        ends = np.fromstring(chunk.translate(None, b"e"), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+        if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
+            return None
+        _add_edges(packed, ends)
+    g = Graph(n, _ints(packed))
     return g if g.edge_count() == m else None
 
 
 def read_graph(path, cap: int = DEFAULT_CAP) -> Graph:
     """Parse a graph file, refusing a header of over ``cap`` vertices before
     anything is allocated for them. A body in write_graph's own format takes a
-    regex and numpy fast path; any other, and any invalid one, goes through the
-    line-by-line parser, which raises GraphFormatError with the line."""
-    text = Path(path).read_text()
-    g = _read_plain(text, cap)
-    return g if g is not None else _read_lines(path, text, cap)
+    regex and numpy fast path on the file's bytes; any other, and any invalid
+    one, is read again as text by the line-by-line parser, which raises
+    GraphFormatError with the line."""
+    g = _read_plain(Path(path).read_bytes(), cap)
+    return g if g is not None else _read_lines(path, Path(path).read_text(), cap)
 
 
 def _read_lines(path, text: str, cap: int = DEFAULT_CAP) -> Graph:
@@ -215,35 +212,50 @@ def _pair_arrays(obj: dict) -> dict:
 # A removed_edges list as _json_pieces writes it: its key starts a line, each
 # pair takes three lines two and four spaces deeper, and each number is a
 # non-negative decimal of at most 19 digits, written without leading zeros.
-_NUM = "(?:0|[1-9][0-9]{0,18})"
-_PAIR = rf"\1  \[\n\1    {_NUM},\n\1    {_NUM}\n\1  \]"
-_PAIR_LIST = re.compile(rf'^( *)"removed_edges": \[\n((?:{_PAIR},\n)*+{_PAIR})\n\1\]', re.MULTILINE)
+_NUM = rb"(?:0|[1-9][0-9]{0,18})"
+_PAIR = rb"\1  \[\n\1    " + _NUM + rb",\n\1    " + _NUM + rb"\n\1  \]"
+_PAIR_LIST = re.compile(rb'^( *)"removed_edges": \[\n((?:' + _PAIR + rb",\n)*+" + _PAIR + rb")\n\1\]", re.MULTILINE)
 _PUNCTUATION_TO_SPACES = bytes.maketrans(b"[],", b"   ")
 _INT64_MAX = np.iinfo(np.int64).max  # also what np.fromstring makes of a larger value
 # The string a cut-out list stands as while json parses the rest of a sidecar.
 _MARK = "capforge removed_edges "
 
 
-def _read_own(text: str) -> dict | None:
+def _pair_list(data: bytes, start: int, end: int) -> np.ndarray | None:
+    """The pairs of the list _PAIR_LIST matched at data[start:end], decoded a
+    chunk at a time into an (M, 2) int64 array; None if a number may be past
+    int64. Each pair holds one "]"."""
+    out = np.empty((data.count(b"]", start, end), 2), np.int64)
+    flat, done = out.reshape(-1), 0
+    for chunk in _text_chunks(data, start, end, b"]"):
+        nums = np.fromstring(chunk.translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
+        if (nums == _INT64_MAX).any():
+            return None
+        flat[done : done + len(nums)] = nums
+        done += len(nums)
+    return out
+
+
+def _read_own(data: bytes) -> dict | None:
     """A sidecar in which every removed_edges list that _PAIR_LIST matches is
     parsed by numpy and the rest by json, with _pair_arrays. None when no list
-    is in that layout or the rest is not valid JSON, and for a text with
-    a backslash or _MARK in it, where a string could pass for a cut-out list."""
-    if "\\" in text or _MARK in text or not text.isascii():
+    is in that layout or the rest is not valid JSON, and for bytes that are
+    not ASCII or hold a backslash or _MARK, where a string could pass for a
+    cut-out list."""
+    if b"\\" in data or _MARK.encode() in data or not data.isascii():
         return None
-    arrays = {}
-
-    def cut(match: re.Match) -> str:
-        nums = np.fromstring(match[2].encode().translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
-        if (nums == _INT64_MAX).any():  # possibly past int64: left to json
-            return match[0]
+    arrays, rest, start = {}, [], 0
+    for match in _PAIR_LIST.finditer(data):
+        pairs = _pair_list(data, match.start(2), match.end(2))
+        if pairs is None:  # left to json
+            continue
         token = f"{_MARK}{len(arrays)}"
-        arrays[token] = nums.reshape(-1, 2)
-        return f'{match[1]}"removed_edges": {json.dumps(token)}'
-
-    text = _PAIR_LIST.sub(cut, text)
+        arrays[token] = pairs
+        rest += [data[start : match.start()].decode(), f'{match[1].decode()}"removed_edges": {json.dumps(token)}']
+        start = match.end()
     if not arrays:
         return None
+    rest.append(data[start:].decode())
 
     # Each token directly follows a "removed_edges" key, so once the rest
     # parses it is that key's value, where the json route finds its list.
@@ -254,23 +266,23 @@ def _read_own(text: str) -> dict | None:
         return _pair_arrays(obj)
 
     try:
-        return json.loads(text, object_hook=hook)
+        return json.loads("".join(rest), object_hook=hook)
     except json.JSONDecodeError:
         return None
 
 
 def read_metadata(path) -> dict | None:
     """The sidecar of ``path``, None if there is none, with _pair_arrays' arrays.
-    A sidecar in write_graph's own layout takes _read_own's numpy path; any
-    other goes through json alone, which raises GraphFormatError on invalid JSON."""
+    A sidecar in write_graph's own layout takes _read_own's numpy path on its
+    bytes; any other is read again as text and goes through json alone, which
+    raises GraphFormatError on invalid JSON."""
     mp = meta_path(path)
     if not mp.exists():
         return None
-    text = mp.read_text()
-    meta = _read_own(text)
+    meta = _read_own(mp.read_bytes())
     if meta is None:
         try:
-            meta = json.loads(text, object_hook=_pair_arrays)
+            meta = json.loads(mp.read_text(), object_hook=_pair_arrays)
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{mp}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):

@@ -262,6 +262,66 @@ def test_verify_detects_class_hit_twice(tmp_path, capsys):
     assert "one removed edge per class" in out and "FAIL" in out
 
 
+def test_verify_stdout_of_a_tampered_canonical_sidecar(tmp_path, capsys):
+    """Every per-pair detail, in order: one pair swapped for a member of
+    another removed pair's orbit, so that one class is hit twice and one is
+    missed, and one reversed pair appended."""
+    g = tmp_path / "t.col"
+    assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0
+    mp = meta_path(g)
+    meta = json.loads(mp.read_text())
+    removed = meta["removed_edges"]
+    assert removed[1] == [3, 5] and removed[5] == [1, 2] and removed[6] == [1, 4]
+    removed[1] = [4, 5]  # {1, 2} shifted by 3: that orbit twice, the orbit of {0, 2} missed
+    removed.append([4, 1])  # {1, 4} reversed
+    mp.write_text(json.dumps(meta))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    assert capsys.readouterr().out == (
+        "[ok ] graph file parses\n"
+        "[ok ] metadata parses\n"
+        "[ok ] N matches header\n"
+        "[ok ] removed edges in range\n"
+        "[FAIL] graph = K_N minus removed edges\n"
+        "[ok ] class count matches closed form\n"
+        "[FAIL] removed edges are valid pairs ((4, 1) not a vertex pair)\n"
+        "[FAIL] one removed edge per class (classes hit twice: [(1, 2)]; classes missed: 1)\n"
+        "[FAIL] seed reproduces removed edges\n"
+        "[ok ] certificate independent in power view\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "target, edit, out",
+    [
+        (
+            "graph",
+            lambda data: data[:15] + b"\xff" + data[16:],
+            "[FAIL] graph file parses ('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)\n",
+        ),
+        (
+            "sidecar",
+            lambda data: b"\xff\xfe" + data,
+            "[ok ] graph file parses\n"
+            "[FAIL] metadata parses ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)\n",
+        ),
+    ],
+)
+def test_verify_of_input_that_is_not_utf8(tmp_path, capsys, target, edit, out):
+    """A byte that is not UTF-8 fails as the text decoder reports it, also
+    where json.loads, given the bytes, would take a BOM for UTF-16."""
+    g = tmp_path / "t.col"
+    assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0
+    path = g if target == "graph" else meta_path(g)
+    path.write_bytes(edit(path.read_bytes()))
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    assert capsys.readouterr().out == out
+    assert run("series", str(g), "--k-max", "1") == 1
+    message = out.splitlines()[-1].split(" (", 1)[1][:-1]
+    assert capsys.readouterr().err == f"capforge: error: cannot load {g}: {message}\n"
+
+
 def test_verify_detects_tampered_graph_file(tmp_path):
     g = tmp_path / "t.col"
     assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0

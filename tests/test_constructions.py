@@ -27,7 +27,7 @@ from capforge import (
     sample_jump_graph,
     sample_simple_jump_graph,
 )
-from capforge import constructions
+from capforge import constructions, graphs
 from capforge.constructions import (
     from_metadata,
     orbit_representative,
@@ -436,7 +436,7 @@ def _size_arrays(nu: int, n: int) -> dict[str, np.ndarray]:
 )
 def test_randranges_draws_what_randrange_draws(nu, n, seed, kind):
     sizes = _size_arrays(nu, n)[kind]
-    drawn = constructions._randranges(seed, sizes)
+    drawn = next(constructions._randranges(seed, [sizes]))
     assert drawn.dtype == np.int64
     assert drawn.tolist() == _randrange_loop(seed, sizes.tolist())
 
@@ -446,15 +446,15 @@ def test_randranges_across_word_chunks(monkeypatch, nu, n):
     monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)  # many chunks, most draws past the first
     for sizes in _size_arrays(nu, n).values():
         for seed in (0, 7, 2**64 - 1):
-            assert constructions._randranges(seed, sizes).tolist() == _randrange_loop(seed, sizes.tolist())
+            assert next(constructions._randranges(seed, [sizes])).tolist() == _randrange_loop(seed, sizes.tolist())
 
 
 def test_randranges_refuses_sizes_it_cannot_draw_in_bulk():
     with pytest.raises(ValueError, match=r"nu must be below 2\*\*32"):
-        constructions._randranges(0, np.array([2, 1 << 32]))
+        next(constructions._randranges(0, [np.array([2, 1 << 32])]))
     with pytest.raises(ValueError, match="share one threshold"):
-        constructions._randranges(0, np.array([2, 3]))  # 2 << 30 and 3 << 30
-    assert constructions._randranges(0, np.array([], dtype=np.int64)).tolist() == []
+        next(constructions._randranges(0, [np.array([2, 3])]))  # 2 << 30 and 3 << 30
+    assert next(constructions._randranges(0, [np.array([], dtype=np.int64)])).tolist() == []
 
 
 @pytest.mark.parametrize("nu, n", [(2, 3), (2, 8), (3, 5), (4, 4), (5, 3)])
@@ -468,3 +468,48 @@ def test_samplers_match_one_draw_per_orbit_or_row_pair(nu, n):
         rng = random.Random(seed)
         rows = [[i * nu + col, j * nu + col] for i, j in itertools.combinations(range(n), 2) for col in [rng.randrange(nu)]]
         assert sample_simple_jump_graph(JumpParams(nu, n, seed)).removed.tolist() == rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 44])
+def test_canonical_sampler_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    """_canonical_removed draws _EDGE_CHUNK orbits at a time; accepted words
+    a chunk leaves over go to the next."""
+    params = [JumpParams(2, 9, 3), JumpParams(3, 7, 5), JumpParams(4, 6, 2**64 - 1)]
+    whole = [constructions._canonical_removed(p) for p in params]
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
+    monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)
+    for p, want in zip(params, whole):
+        assert np.array_equal(constructions._canonical_removed(p), want)
+
+
+def _reference_orbit_checks(removed: np.ndarray, nu: int, n: int) -> list:
+    """verify_construction's per-pair canonical checks made on the whole
+    array: codes x * N + y of the orbit representatives, then np.unique."""
+    N = nu * n
+    reps = orbit_representatives(nu, n)
+    u, v = removed[:, 0], removed[:, 1]
+    checks = [("class count matches closed form", len(reps) == expected_class_count(nu, n), f"{len(reps)} classes")]
+    valid = (0 <= u) & (u < v) & (v < N)
+    checks += [("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair") for pair in removed[~valid].tolist()]
+    hits = constructions._representatives_of(removed[valid], nu, n)
+    codes = hits[:, 0] * N + hits[:, 1]
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    multi = [tuple(rep) for rep in hits[np.sort(first[counts > 1])].tolist()]
+    ok = bool(np.array_equal(np.sort(codes), reps[:, 0] * N + reps[:, 1]))
+    return checks + [("one removed edge per class", ok, f"classes hit twice: {multi}; classes missed: {len(reps) - len(first)}")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(params_strategy, st.data())
+def test_orbit_checks_match_the_whole_array_checks(p, data):
+    """Chunked orbit indices give the checks np.unique on whole-array codes
+    gave, for sampled removed edges with some pairs replaced and appended:
+    reversed, out of range, self-loops, or members of another orbit."""
+    removed = sample_jump_graph(p).removed
+    pair = st.tuples(st.integers(-1, p.N), st.integers(-1, p.N))
+    for i, new in data.draw(st.lists(st.tuples(st.integers(0, len(removed) - 1), pair), max_size=4)):
+        removed[i] = new
+    removed = np.concatenate((removed, np.array(data.draw(st.lists(pair, max_size=3)), np.int64).reshape(-1, 2)))
+    chunk = data.draw(st.sampled_from([1, 7, 44, len(removed)]))
+    chunks = [removed[lo : lo + chunk] for lo in range(0, len(removed), chunk)]
+    assert constructions._orbit_checks(chunks, p.nu, p.n) == _reference_orbit_checks(removed, p.nu, p.n)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
+from capforge import graphs
 from capforge import io as gio
 from capforge import (
     DEFAULT_CAP,
@@ -24,7 +25,7 @@ from capforge import (
     sample_simple_jump_graph,
     write_graph,
 )
-from capforge.constructions import from_metadata
+from capforge.constructions import from_metadata, verify_construction
 from capforge.io import meta_path
 
 
@@ -66,7 +67,7 @@ def test_edge_lines_do_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
     g = sample_jump_graph(JumpParams(nu=3, n=4, seed=11)).graph  # 44 edges
     whole = tmp_path / "whole.col"
     write_graph(g, whole)
-    monkeypatch.setattr(gio, "_EDGE_CHUNK", chunk)
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
     chunked = tmp_path / "chunked.col"
     write_graph(g, chunked)
     assert chunked.read_bytes() == whole.read_bytes()
@@ -261,7 +262,7 @@ def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, 
     text = path.read_text()
     assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, text))
     if how in ("none", "crlf", "duplicate", "no_final_newline"):
-        assert gio._read_plain(text) == g  # write_graph's own format: the fast path
+        assert gio._read_plain(text.encode()) == g  # write_graph's own format: the fast path
     if how in ("none", "comment", "blank", "spaces", "plus", "crlf", "duplicate", "no_final_newline"):
         assert read_graph(path) == g
 
@@ -303,7 +304,7 @@ def test_sidecar_text_matches_json_dumps(value):
 
 
 def test_sidecar_text_of_a_long_pair_array(monkeypatch):
-    monkeypatch.setattr(gio, "_EDGE_CHUNK", 3)  # several chunks, the last one short
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", 3)  # several chunks, the last one short
     arr = np.arange(20, dtype=np.int64).reshape(-1, 2)
     for value in (arr, {"removed_edges": arr, "factors": [{"removed_edges": arr[:0]}]}):
         assert "".join(gio._json_pieces(value)) == json.dumps(value, indent=2, sort_keys=True, default=np.ndarray.tolist)
@@ -349,7 +350,7 @@ def test_own_sidecars_take_the_numpy_path(tmp_path, kind):
     path = tmp_path / "g.col"
     write_graph(SIDECARS[kind], path)
     text = meta_path(path).read_text()
-    assert _same(gio._read_own(text), _json_route(text))
+    assert _same(gio._read_own(text.encode()), _json_route(text))
     assert _same(read_metadata(path), _json_route(text))
 
 
@@ -408,7 +409,7 @@ def test_read_metadata_agrees_with_json_on_perturbed_sidecars(tmp_path_factory, 
     text = meta_path(path).read_text()
     assert _same(_read_route(path), _json_route(text))
     if kind != "product" and how not in ("none", "crlf"):  # its one list is not write_graph's
-        assert gio._read_own(text) is None
+        assert gio._read_own(text.encode()) is None
 
 
 def _graph_error(path) -> str:
@@ -458,7 +459,7 @@ def test_header_over_the_cap_is_refused_before_allocating(tmp_path, comment):
         tracemalloc.stop()
     assert message == f"{path}:{line}: header has 100000000 vertices, over the cap of {DEFAULT_CAP}"
     assert peak < 2**20
-    assert gio._read_plain(path.read_text()) is None
+    assert gio._read_plain(path.read_bytes()) is None
 
 
 def test_cap_bounds_both_parsers(tmp_path):
@@ -488,7 +489,7 @@ def test_pair_list_pattern_edges_agree_with_json(tmp_path, edit, own):
     path = _one_pair_sidecar(tmp_path)
     text = edit(meta_path(path).read_text())
     meta_path(path).write_text(text)
-    assert (gio._read_own(text) is not None) == own
+    assert (gio._read_own(text.encode()) is not None) == own
     assert _same(read_metadata(path), _json_route(text))
 
 
@@ -496,14 +497,15 @@ def test_pair_list_pattern_edges_agree_with_json(tmp_path, edit, own):
 def test_plain_pattern_edges_agree_with_line_parser(tmp_path, body):
     path = tmp_path / "g.col"
     path.write_text(body)
-    g = gio._read_plain(body)
+    g = gio._read_plain(body.encode())
     assert g is not None and read_graph(path) == g == gio._read_lines(path, body)
 
 
 def test_own_sidecar_memory_stays_near_its_size(tmp_path):
     """2^18 pairs, as many as the N=1024 canonical graph removes. The
-    possessive repeats keep no state per pair; a backtracking repeat would
-    add several times the sidecar's size."""
+    possessive repeats keep no state per pair, and the list is decoded a
+    chunk at a time into its array: the read holds the sidecar's bytes, the
+    array and under 1 MiB more."""
     path = tmp_path / "g.col"
     pairs = (np.arange(2**19, dtype=np.int64) * 7919 % 1024).reshape(-1, 2)
     write_graph(cycle_graph(3), path, metadata={"removed_edges": pairs})
@@ -515,14 +517,14 @@ def test_own_sidecar_memory_stays_near_its_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(meta["removed_edges"], pairs)
-    assert peak < 5 * size
+    assert peak < size + pairs.nbytes + 2**20
 
 
 def test_sidecar_is_written_without_holding_its_text(tmp_path, monkeypatch):
     """2^18 pairs, as many as the N=1024 canonical graph removes, written
     4,096 pairs at a time: the write holds one chunk's text and ints, not
     the whole sidecar's text."""
-    monkeypatch.setattr(gio, "_EDGE_CHUNK", 4096)
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", 4096)
     path = tmp_path / "g.col"
     pairs = (np.arange(2**19, dtype=np.int64) * 7919 % 1024).reshape(-1, 2)
     tracemalloc.start()
@@ -534,3 +536,92 @@ def test_sidecar_is_written_without_holding_its_text(tmp_path, monkeypatch):
     size = meta_path(path).stat().st_size
     assert np.array_equal(read_metadata(path)["removed_edges"], pairs)
     assert peak < size / 4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 44])
+def test_bytes_readers_do_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
+    """Text is decoded about _EDGE_CHUNK bytes at a time, cut at line and
+    pair ends: with one record per chunk, a few or many, the readers give
+    what the line parser and json give, on own files and perturbed ones."""
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for kind, cg in SIDECARS.items():
+        path = tmp_path / f"{kind}.col"
+        write_graph(cg, path)
+        text, sidecar = path.read_text(), meta_path(path).read_text()
+        assert gio._read_plain(path.read_bytes()) == gio._read_lines(path, text) == cg.graph
+        assert _same(gio._read_own(sidecar.encode()), _json_route(sidecar))
+        for how in PERTURBATIONS:
+            path.write_bytes(_perturb(text, how, rng).encode())
+            assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, path.read_text()))
+        for how in SIDECAR_PERTURBATIONS[1:]:  # all but "none"
+            meta_path(path).write_bytes(_perturb_sidecar(sidecar, how, rng).encode())
+            assert _same(_read_route(path), _json_route(meta_path(path).read_text()))
+
+
+def _string_sorted_body(g) -> str:
+    """The body write_graph writes, made the slow way: the header, then
+    every 1-based edge line, sorted as a string."""
+    lines = sorted(f"e {u} {v}\n" for u, v in (g.edge_array() + 1).tolist())
+    return f"p edge {g.n} {len(lines)}\n" + "".join(lines)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_row_blocks_write_lines_sorted_as_strings(tmp_path, monkeypatch, n):
+    """Rows go out in the string order of their labels, which changes where
+    the labels gain a digit, in blocks of at most _EDGE_CHUNK bits."""
+    g = _graph_from_seed(n, 0.2, n)
+    path = tmp_path / "g.col"
+    for chunk in (graphs._EDGE_CHUNK, 44):
+        monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
+        write_graph(g, path)
+        assert path.read_text() == _string_sorted_body(g)
+
+
+@pytest.fixture(scope="module")
+def jump_1024(tmp_path_factory):
+    """The N=1024 seed-7 canonical graph, written with its sidecar."""
+    path = tmp_path_factory.mktemp("n1024") / "g.col"
+    cg = sample_jump_graph(JumpParams(nu=2, n=512, seed=7))
+    write_graph(cg, path)
+    return cg, path
+
+
+def _traced(fn):
+    """fn's result and the tracemalloc peak of its call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_graph_holds_the_file_and_one_chunk(jump_1024):
+    """The file's bytes, the packed rows, the row ints and one chunk's
+    numbers: under 1 MiB beside the 2.57 MB file."""
+    cg, path = jump_1024
+    g, peak = _traced(lambda: read_graph(path))
+    assert g == cg.graph
+    assert peak < path.stat().st_size + 2**20
+
+
+def test_write_body_holds_one_block(jump_1024):
+    """Row blocks of at most _EDGE_CHUNK bits, formatted one at a time: under
+    a quarter of the (M, 2) int64 edge array a sort of every edge needs."""
+    cg, path = jump_1024
+    copy = path.with_name("copy.col")
+    with open(copy, "w", newline="\n") as f:
+        _, peak = _traced(lambda: gio._write_body(cg.graph, f))
+    assert copy.read_bytes() == path.read_bytes()
+    assert peak < cg.graph.edge_count() * 16 / 4
+
+
+def test_verify_construction_holds_one_copy_of_the_removed_edges(jump_1024):
+    """Per-pair checks a chunk at a time into one vector of orbit indices,
+    then the resampled edges: under 1 MiB beside one (M, 2) copy."""
+    cg, path = jump_1024
+    meta = read_metadata(path)
+    rebuilt = from_metadata(read_graph(path), meta)
+    checks, peak = _traced(lambda: verify_construction(rebuilt, meta))
+    assert all(ok for _, ok, _ in checks)
+    assert peak < cg.removed.nbytes + 2**20
