@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, constructions, io as gio
@@ -335,6 +334,8 @@ def cmd_mc_alpha(args) -> int:
     budget = _budget(args, workers=args.threads)
     tasks = [(nu, n, seed + i, budget) for i in range(args.trials)]
     if args.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only where a pool runs
+
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_mc_trial, tasks))
     else:

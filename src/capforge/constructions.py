@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import graphs
 from .graphs import DEFAULT_CAP, Graph, _chunks, bitset_rows, edge_pairs, is_independent, power_view, strong_product
 
 
@@ -96,21 +97,33 @@ def _orbit_groups(nu: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, q * n + x + 1 - same, n - 1 - x + same
 
 
+def _group_pairs(x: np.ndarray, ystart: np.ndarray, sizes: np.ndarray):
+    """The pairs (x[g], y), y running up from ystart[g], sizes[g] of them for
+    each group g in order, as (_EDGE_CHUNK, 2) int64 arrays (the last one
+    shorter), so that nothing as long as all the pairs is built."""
+    first = np.cumsum(sizes) - sizes  # each group's first row
+    total = int(first[-1] + sizes[-1])
+    for lo in range(0, total, graphs._EDGE_CHUNK):
+        row = np.arange(lo, min(total, lo + graphs._EDGE_CHUNK))
+        group = np.searchsorted(first, row, side="right") - 1  # of equal starts, the last is not empty
+        yield np.stack((x[group], ystart[group] + row - first[group]), axis=1)
+
+
+def _gathered(chunks, rows: int) -> np.ndarray:
+    """The pairs of ``chunks``, in order, written into one (rows, 2) int64 array."""
+    out = np.empty((rows, 2), np.int64)
+    done = 0
+    for chunk in chunks:
+        out[done : done + len(chunk)] = chunk
+        done += len(chunk)
+    return out
+
+
 def orbit_representatives(nu: int, n: int) -> np.ndarray:
     """Representatives (least members) of the shift orbits, in ascending
-    order, as an (R, 2) int64 array, filled _EDGE_CHUNK rows at a time, so
-    that nothing R-sized but the result is built."""
-    x, ystart, sizes = _orbit_groups(nu, n)
-    first = np.cumsum(sizes) - sizes  # each group's first row
-    reps = np.empty((int(first[-1] + sizes[-1]), 2), np.int64)
-    lo = 0
-    for chunk in _chunks(reps):
-        row = np.arange(lo, lo + len(chunk))
-        group = np.searchsorted(first, row, side="right") - 1  # of equal starts, the last is not empty
-        chunk[:, 0] = x[group]
-        chunk[:, 1] = ystart[group] + row - first[group]
-        lo += len(chunk)
-    return reps
+    order, as an (R, 2) int64 array."""
+    groups = _orbit_groups(nu, n)
+    return _gathered(_group_pairs(*groups), int(groups[2].sum()))
 
 
 def _orbit_index(pairs: np.ndarray, nu: int, n: int) -> np.ndarray:
@@ -324,19 +337,39 @@ def _randranges(seed: int, sizes_chunks):
         yield out
 
 
-def _canonical_removed(params: JumpParams) -> np.ndarray:
-    """The edges sample_jump_graph removes, as an (M, 2) array: each orbit's
-    representative moved by its draw, _EDGE_CHUNK orbits at a time."""
+def _drawn(seed: int, chunks, size_of):
+    """Each chunk of pairs with its draws: ``rng.randrange(m)`` for each m of
+    ``size_of(chunk)``, from one ``rng = random.Random(seed)``."""
+    held = []
+
+    def sizes():
+        for chunk in chunks:
+            held.append(chunk)
+            yield size_of(chunk)
+
+    for draws in _randranges(seed, sizes()):  # it takes one chunk's sizes per chunk of draws
+        yield held.pop(), draws
+
+
+def _canonical_chunks(params: JumpParams):
+    """The edges sample_jump_graph removes, _EDGE_CHUNK orbits at a time:
+    each orbit's representative moved by its draw."""
     nu, n, N = params.nu, params.n, params.N
-    pairs = orbit_representatives(nu, n)
-    chunks = _chunks(pairs)
     # for even nu the pairs N/2 apart close after nu/2 shifts
-    sizes = (np.where((nu % 2 == 0) & (2 * (c[:, 1] - c[:, 0]) == N), nu // 2, nu) for c in chunks)
-    for chunk, t in zip(chunks, _randranges(params.seed, sizes)):
+    for chunk, t in _drawn(
+        params.seed,
+        _group_pairs(*_orbit_groups(nu, n)),
+        lambda c: np.where((nu % 2 == 0) & (2 * (c[:, 1] - c[:, 0]) == N), nu // 2, nu),
+    ):
         chunk += (t * n)[:, None]
         chunk %= N
         chunk.sort(axis=1)
-    return pairs
+        yield chunk
+
+
+def _canonical_removed(params: JumpParams) -> np.ndarray:
+    """The edges sample_jump_graph removes, as an (M, 2) array."""
+    return _gathered(_canonical_chunks(params), expected_class_count(params.nu, params.n))
 
 
 def sample_jump_graph(params: JumpParams) -> ConstructedGraph:
@@ -389,12 +422,18 @@ def explicit_power_set(params: JumpParams, k: int) -> set[tuple[int, ...]]:
     return cert if len(cert) > 1 else set()
 
 
+def _simple_chunks(params: JumpParams):
+    """The edges sample_simple_jump_graph removes, _EDGE_CHUNK row pairs
+    i < j at a time: each pair's vertices in the column it draws."""
+    nu, n = params.nu, params.n
+    rows = np.arange(n, dtype=np.int64)
+    for pairs, col in _drawn(params.seed, _group_pairs(rows, rows + 1, n - 1 - rows), lambda c: np.full(len(c), nu)):
+        yield pairs * nu + col[:, None]
+
+
 def _simple_removed(params: JumpParams) -> np.ndarray:
     """The edges sample_simple_jump_graph removes, as an (M, 2) array."""
-    nu, n = params.nu, params.n
-    i, j = np.triu_indices(n, k=1)
-    col = next(_randranges(params.seed, [np.full(len(i), nu)]))
-    return np.stack((i * nu + col, j * nu + col), axis=1)
+    return _gathered(_simple_chunks(params), params.n * (params.n - 1) // 2)
 
 
 def sample_simple_jump_graph(params: JumpParams) -> ConstructedGraph:
@@ -526,36 +565,80 @@ def from_metadata(graph: Graph, meta: dict) -> ConstructedGraph:
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
+def _tally(counts: np.ndarray, index: np.ndarray) -> None:
+    """Add one hit at each of ``index`` to ``counts``, a uint8 count vector
+    that saturates at 2, so that it tells none, one and more apart."""
+    hit, times = np.unique(index, return_counts=True)
+    counts[hit] = np.minimum(counts[hit] + np.minimum(times, 2), 2)
+
+
 def _orbit_checks(chunks: list[np.ndarray], nu: int, n: int) -> list[tuple[str, bool, str]]:
     """verify_construction's checks of a canonical sidecar's removed pairs,
     given in chunks: the orbit count, each pair that is not a vertex pair
-    (u < v), and one removed pair per orbit, counted in one vector holding
-    the orbit index of each valid pair."""
+    (u < v), and one removed pair per orbit, tallied in one count per orbit.
+    Orbits hit twice are listed, in order of first hit, by a second pass."""
     N = nu * n
     classes = int(_orbit_groups(nu, n)[2].sum())
     checks = [("class count matches closed form", classes == expected_class_count(nu, n), f"{classes} classes")]
-    hits, filled = np.empty(sum(map(len, chunks)), np.int64), 0
+
+    def valid(c: np.ndarray) -> np.ndarray:
+        return (0 <= c[:, 0]) & (c[:, 0] < c[:, 1]) & (c[:, 1] < N)
+
+    counts = np.zeros(classes, np.uint8)
     for c in chunks:
-        valid = (0 <= c[:, 0]) & (c[:, 0] < c[:, 1]) & (c[:, 1] < N)
-        checks += [("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair") for pair in c[~valid].tolist()]
-        index = _orbit_index(c[valid], nu, n)
-        hits[filled : filled + len(index)] = index
-        filled += len(index)
-    hits = hits[:filled]
-    counts = np.bincount(hits, minlength=classes)
-    multi = []
-    if (counts > 1).any():  # the classes hit twice, in order of first hit
-        twice = list(dict.fromkeys(hits[counts[hits] > 1].tolist()))
-        multi = [tuple(rep) for rep in orbit_representatives(nu, n)[twice].tolist()]
-    detail = f"classes hit twice: {multi}; classes missed: {int((counts == 0).sum())}"
+        ok = valid(c)
+        checks += [("removed edges are valid pairs", False, f"{tuple(pair)} not a vertex pair") for pair in c[~ok].tolist()]
+        _tally(counts, _orbit_index(c[ok], nu, n))
+    twice = {}
+    if (counts > 1).any():
+        for c in chunks:
+            pairs = c[valid(c)]
+            hit = pairs[counts[_orbit_index(pairs, nu, n)] > 1]
+            twice.update(dict.fromkeys(map(tuple, _representatives_of(hit, nu, n).tolist())))
+    detail = f"classes hit twice: {list(twice)}; classes missed: {int((counts == 0).sum())}"
     return checks + [("one removed edge per class", bool((counts == 1).all()), detail)]
+
+
+def _row_checks(chunks: list[np.ndarray], nu: int, n: int) -> list[tuple[str, bool, str]]:
+    """verify_construction's checks of a simple sidecar's removed pairs,
+    given in chunks. Row pairs a < b inside 0..n-1 are tallied in one count
+    per pair, at their place in row-major order; the rest, which only a
+    tampered sidecar holds, are kept to be compared whole."""
+    count = sum(map(len, chunks))
+    counts = np.zeros(n * (n - 1) // 2, np.uint8)
+    columns, others = True, []
+    for c in chunks:
+        rows = c // nu
+        columns &= bool(((c[:, 0] % nu == c[:, 1] % nu) & (rows[:, 0] != rows[:, 1])).all())
+        rows.sort(axis=1)
+        a, b = rows[:, 0], rows[:, 1]
+        inside = (0 <= a) & (a < b) & (b < n)
+        a, b = a[inside], b[inside]
+        _tally(counts, a * (2 * n - a - 1) // 2 + b - a - 1)
+        others += map(tuple, rows[~inside].tolist())
+    return [
+        ("one removed edge per row pair", count == len(counts), ""),
+        ("removed edges join equal columns of distinct rows", columns, ""),
+        ("row pairs all distinct", bool((counts < 2).all()) and len(set(others)) == len(others), ""),
+    ]
+
+
+def _same_pairs(removed: np.ndarray, chunks) -> bool:
+    """Whether ``removed`` holds the pairs of ``chunks``, in order, and no more."""
+    done = 0
+    for chunk in chunks:
+        if not np.array_equal(removed[done : done + len(chunk)], chunk):
+            return False
+        done += len(chunk)
+    return done == len(removed)
 
 
 def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, bool, str]]:
     """Re-check a construction that from_metadata rebuilt from a graph and
     its sidecar ``meta``: (name, ok, detail) per check, in a fixed order.
     Canonical and simple graphs share every check but their structural
-    ones; products are checked factor by factor."""
+    ones; products are checked factor by factor. Removed edges are checked
+    and compared with the seed's a chunk at a time."""
     checks = []
 
     def check(name: str, ok: bool, detail: str = ""):
@@ -572,8 +655,7 @@ def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, boo
             prod = strong_product(prod, f.graph, cap=max(DEFAULT_CAP, g.n))
         check("graph equals product of factors", prod == g)
         for f, p in zip(cg.factors, spec.factor_params()):
-            same = f.params == p and np.array_equal(_canonical_removed(p), f.removed)
-            check(f"factor nu={p.nu} seed reproduces removed edges", same)
+            check(f"factor nu={p.nu} seed reproduces removed edges", f.params == p and _same_pairs(f.removed, _canonical_chunks(p)))
         # sound once the graph is the product of its factors, checked above
         for k, _, ok in check_certificate(cg):
             check(f"certificate at k={k} independent", ok, f"size {certificate_size_for(cg, k)}")
@@ -588,16 +670,11 @@ def verify_construction(cg: ConstructedGraph, meta: dict) -> list[tuple[str, boo
         check("graph = K_N minus removed edges", complete_minus(N, removed) == g)
     if cg.kind == "canonical":
         checks += _orbit_checks(chunks, nu, n)
-        resample = _canonical_removed
+        resample = _canonical_chunks
     else:
-        check("one removed edge per row pair", len(removed) == n * (n - 1) // 2)
-        u, v = removed[:, 0], removed[:, 1]
-        rows = removed // nu
-        check("removed edges join equal columns of distinct rows", ((u % nu == v % nu) & (rows[:, 0] != rows[:, 1])).all())
-        row_pairs = np.unique(np.sort(rows, axis=1), axis=0)
-        check("row pairs all distinct", len(row_pairs) == len(removed))
-        resample = _simple_removed
-    check("seed reproduces removed edges", np.array_equal(resample(cg.params), removed))
+        checks += _row_checks(chunks, nu, n)
+        resample = _simple_chunks
+    check("seed reproduces removed edges", _same_pairs(removed, resample(cg.params)))
     ((k, size, ok),) = check_certificate(cg)
     check(
         "certificate independent in power view",

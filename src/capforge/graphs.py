@@ -296,6 +296,7 @@ def _is_independent_view(view: PowerGraphView, members: list) -> bool:
             bits >>= (col & 7).astype(np.uint8)
             bits &= 1
             rows = np.packbits(bits, axis=1, bitorder="little")[where[:, c]]
+            del bits  # before the next coordinate's block is made
             acc = rows if acc is None else np.bitwise_and(acc, rows, out=acc)
         own = np.arange(hi - lo)
         acc[own + lo, own >> 3] &= ~np.left_shift(1, own & 7).astype(np.uint8)

@@ -22,7 +22,8 @@ GENERATOR_VERSION = "capforge 0.1.0"
 
 # A body as write_graph writes it: this header, then "e u v" lines and
 # nothing else. The possessive repeat keeps no backtracking state per line.
-_PLAIN = re.compile(rb"p edge ([0-9]{1,9}) ([0-9]{1,9})\n(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
+_HEADER = re.compile(rb"p edge ([0-9]{1,9}) ([0-9]{1,9})\n")
+_LINES = re.compile(rb"(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
 
 
 class GraphFormatError(ValueError):
@@ -104,33 +105,51 @@ def write_graph(g, path, metadata: dict | None = None) -> None:
             f.write("\n")
 
 
-def _text_chunks(data: bytes, start: int, end: int, mark: bytes):
-    """data[start:end] in consecutive pieces of about _EDGE_CHUNK bytes, each
-    ending just past a ``mark`` (a line or pair end) or at ``end``."""
+def _windows(f, start: int, end: int, mark: bytes):
+    """The bytes of the binary file f from start to end, in windows that each
+    end just past the last ``mark`` (a line or pair end) of a block of
+    _EDGE_CHUNK bytes, or at end; a block without a mark joins the next."""
+    f.seek(start)
+    parts = []
     while start < end:
-        cut = data.find(mark, start + graphs._EDGE_CHUNK - 1, end)
-        cut = end if cut < 0 else cut + len(mark)
-        yield data[start:cut]
-        start = cut
+        block = f.read(min(graphs._EDGE_CHUNK, end - start))
+        if not block:  # the file ends before end
+            return
+        start += len(block)
+        cut = len(block) if start == end else block.rfind(mark) + 1
+        if cut:
+            yield b"".join([*parts, block[:cut]])
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
 
 
-def _read_plain(data: bytes, cap: int = DEFAULT_CAP) -> Graph | None:
-    """The graph of a body in write_graph's own format, or None when the body
-    is in any other form, is not a valid graph or has over ``cap`` vertices.
-    Its edge lines are decoded a chunk at a time into packed rows."""
-    data = data if data.endswith(b"\n") else data + b"\n"
-    header = _PLAIN.fullmatch(data)
-    if header is None:
-        return None
-    n, m = int(header[1]), int(header[2])
-    if not 1 <= n <= cap:
-        return None
-    packed = np.zeros((n, (n + 7) // 8), np.uint8)
-    for chunk in _text_chunks(data, header.end(2) + 1, len(data), b"\n"):
-        ends = np.fromstring(chunk.translate(None, b"e"), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+def _read_plain(f, cap: int = DEFAULT_CAP) -> Graph | None:
+    """The graph of the body in the binary file f if it is in write_graph's
+    own format, or None when it is in any other form, is not a valid graph
+    or has over ``cap`` vertices. The body is read in windows of whole
+    lines, each checked and decoded into packed rows, which are allocated
+    once the header is within the cap."""
+    packed = None
+    for window in _windows(f, 0, f.seek(0, 2), b"\n"):
+        if not window.endswith(b"\n"):  # only the last line may lack its newline
+            window += b"\n"
+        start = 0
+        if packed is None:
+            header = _HEADER.match(window)
+            if header is None or not 1 <= int(header[1]) <= cap:
+                return None
+            n, m = int(header[1]), int(header[2])
+            packed = np.zeros((n, (n + 7) // 8), np.uint8)
+            start = header.end()
+        if not _LINES.fullmatch(window, start):
+            return None
+        ends = np.fromstring(window[start:].translate(None, b"e"), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
         if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
             return None
         _add_edges(packed, ends)
+    if packed is None:
+        return None
     g = Graph(n, _ints(packed))
     return g if g.edge_count() == m else None
 
@@ -138,10 +157,12 @@ def _read_plain(data: bytes, cap: int = DEFAULT_CAP) -> Graph | None:
 def read_graph(path, cap: int = DEFAULT_CAP) -> Graph:
     """Parse a graph file, refusing a header of over ``cap`` vertices before
     anything is allocated for them. A body in write_graph's own format takes a
-    regex and numpy fast path on the file's bytes; any other, and any invalid
+    regex and numpy fast path on windows of the file, so the read holds the
+    packed rows and one window, not the file; any other, and any invalid
     one, is read again as text by the line-by-line parser, which raises
     GraphFormatError with the line."""
-    g = _read_plain(Path(path).read_bytes(), cap)
+    with open(path, "rb") as f:
+        g = _read_plain(f, cap)
     return g if g is not None else _read_lines(path, Path(path).read_text(), cap)
 
 
@@ -212,50 +233,84 @@ def _pair_arrays(obj: dict) -> dict:
 # A removed_edges list as _json_pieces writes it: its key starts a line, each
 # pair takes three lines two and four spaces deeper, and each number is a
 # non-negative decimal of at most 19 digits, written without leading zeros.
+_KEY = re.compile(rb'^( *)"removed_edges": \[\n', re.MULTILINE)
 _NUM = rb"(?:0|[1-9][0-9]{0,18})"
-_PAIR = rb"\1  \[\n\1    " + _NUM + rb",\n\1    " + _NUM + rb"\n\1  \]"
-_PAIR_LIST = re.compile(rb'^( *)"removed_edges": \[\n((?:' + _PAIR + rb",\n)*+" + _PAIR + rb")\n\1\]", re.MULTILINE)
 _PUNCTUATION_TO_SPACES = bytes.maketrans(b"[],", b"   ")
 _INT64_MAX = np.iinfo(np.int64).max  # also what np.fromstring makes of a larger value
 # The string a cut-out list stands as while json parses the rest of a sidecar.
 _MARK = "capforge removed_edges "
 
 
-def _pair_list(data: bytes, start: int, end: int) -> np.ndarray | None:
-    """The pairs of the list _PAIR_LIST matched at data[start:end], decoded a
-    chunk at a time into an (M, 2) int64 array; None if a number may be past
-    int64. Each pair holds one "]"."""
-    out = np.empty((data.count(b"]", start, end), 2), np.int64)
+def _pairs_pattern(indent: bytes, first: bool) -> re.Pattern:
+    """The pairs of a list whose key has ``indent``, as they fill a window
+    of its body that ends just past a pair's "]": the first window starts
+    with a pair, every later one with the "," before its first pair. The
+    possessive repeat keeps no backtracking state per pair."""
+    pair = indent + rb"  \[\n" + indent + rb"    " + _NUM + rb",\n" + indent + rb"    " + _NUM + rb"\n" + indent + rb"  \]"
+    return re.compile((pair + rb"(?:,\n" + pair + rb")*+") if first else rb"(?:,\n" + pair + rb")++")
+
+
+def _pair_list(f, start: int, size: int, indent: bytes) -> tuple[np.ndarray, int] | None:
+    """The pairs of the removed_edges list whose key has ``indent`` and whose
+    body starts at byte ``start`` of f, a file of ``size`` bytes, with the
+    offset just past the list's "]". None unless the body is in
+    _json_pieces' layout, or if a number may be past int64. One pass over
+    windows of the body finds its end and counts its "]", one per pair; a
+    second checks each window and decodes it into one (M, 2) int64 array."""
+    close = b"\n" + indent + b"]"  # no line of a pair starts with indent and "]"
+    count, end = 0, start
+    for window in _windows(f, start, size, b"]"):  # a window ends at a "]", so close is not cut
+        at = window.find(close)
+        count += window.count(b"]", 0, None if at < 0 else at)
+        if at >= 0:
+            end += at
+            break
+        end += len(window)
+    else:
+        return None
+    out = np.empty((count, 2), np.int64)
     flat, done = out.reshape(-1), 0
-    for chunk in _text_chunks(data, start, end, b"]"):
-        nums = np.fromstring(chunk.translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
+    for window in _windows(f, start, end, b"]"):
+        if not _pairs_pattern(indent, not done).fullmatch(window):
+            return None
+        nums = np.fromstring(window.translate(_PUNCTUATION_TO_SPACES), dtype=np.int64, sep=" ")
         if (nums == _INT64_MAX).any():
             return None
         flat[done : done + len(nums)] = nums
         done += len(nums)
-    return out
+    return (out, end + len(close)) if done else None
 
 
-def _read_own(data: bytes) -> dict | None:
-    """A sidecar in which every removed_edges list that _PAIR_LIST matches is
-    parsed by numpy and the rest by json, with _pair_arrays. None when no list
-    is in that layout or the rest is not valid JSON, and for bytes that are
-    not ASCII or hold a backslash or _MARK, where a string could pass for a
-    cut-out list."""
-    if b"\\" in data or _MARK.encode() in data or not data.isascii():
-        return None
-    arrays, rest, start = {}, [], 0
-    for match in _PAIR_LIST.finditer(data):
-        pairs = _pair_list(data, match.start(2), match.end(2))
-        if pairs is None:  # left to json
+def _read_own(f) -> dict | None:
+    """The sidecar in the binary file f, with every removed_edges list in
+    _json_pieces' layout decoded by _pair_list from windows of the file,
+    and the rest, which is small in that layout, parsed by json with
+    _pair_arrays. None when no list is in that layout or the rest is not
+    valid JSON, and for bytes that are not ASCII or hold a backslash or
+    _MARK, where a string could pass for a cut-out list."""
+    size = f.seek(0, 2)
+    arrays, rest, pos = {}, [], 0
+    while pos < size:
+        # Windows start at a line start, or just past a list's "]", where a
+        # key would follow a "]" with no "," between: json refuses the rest then.
+        window = next(_windows(f, pos, size, b"\n"))
+        if b"\\" in window or _MARK.encode() in window or not window.isascii():
+            return None
+        key = _KEY.search(window)
+        if key is None:
+            rest.append(window)
+            pos += len(window)
+            continue
+        rest.append(window[: key.end()])
+        pos += key.end()
+        listed = _pair_list(f, pos, size, key[1])
+        if listed is None:  # left to json
             continue
         token = f"{_MARK}{len(arrays)}"
-        arrays[token] = pairs
-        rest += [data[start : match.start()].decode(), f'{match[1].decode()}"removed_edges": {json.dumps(token)}']
-        start = match.end()
+        arrays[token], pos = listed
+        rest[-1] = window[: key.start()] + key[1] + b'"removed_edges": ' + json.dumps(token).encode()
     if not arrays:
         return None
-    rest.append(data[start:].decode())
 
     # Each token directly follows a "removed_edges" key, so once the rest
     # parses it is that key's value, where the json route finds its list.
@@ -266,20 +321,22 @@ def _read_own(data: bytes) -> dict | None:
         return _pair_arrays(obj)
 
     try:
-        return json.loads("".join(rest), object_hook=hook)
+        return json.loads(b"".join(rest).decode(), object_hook=hook)
     except json.JSONDecodeError:
         return None
 
 
 def read_metadata(path) -> dict | None:
     """The sidecar of ``path``, None if there is none, with _pair_arrays' arrays.
-    A sidecar in write_graph's own layout takes _read_own's numpy path on its
-    bytes; any other is read again as text and goes through json alone, which
-    raises GraphFormatError on invalid JSON."""
+    A sidecar in write_graph's own layout takes _read_own's numpy path on
+    windows of the file, so the read holds the decoded pairs, the small rest
+    and one window, not the file; any other is read again as text and goes
+    through json alone, which raises GraphFormatError on invalid JSON."""
     mp = meta_path(path)
     if not mp.exists():
         return None
-    meta = _read_own(mp.read_bytes())
+    with open(mp, "rb") as f:
+        meta = _read_own(f)
     if meta is None:
         try:
             meta = json.loads(mp.read_text(), object_hook=_pair_arrays)

@@ -8,11 +8,9 @@ here are dense, so complements are sparse and greedy-coloring bounds bite.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,6 +387,10 @@ def _split_search(adj, nonadj, bit, full, best, floor_prune, target, max_nodes, 
     if not children:
         return nodes, "done"
     child_budget = None if max_nodes is None else max_nodes - nodes
+    # imported here, so that a command that starts no pool does not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     stop = multiprocessing.Event()
     pool = ProcessPoolExecutor(
         min(workers, len(children)),

@@ -486,6 +486,26 @@ def test_construct_and_verify_never_import_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_without_a_pool_never_import_it(tmp_path):
+    """multiprocessing and concurrent.futures are imported only where a pool
+    starts: loading them adds about 1.8 MiB to every command's peak memory."""
+    graph = tmp_path / "g.col"
+    script = (
+        "import sys\n"
+        "from capforge.cli import main\n"
+        f"assert main(['construct', '--nu', '2', '--n', '8', '--out', {str(graph)!r}]) == 0\n"
+        f"assert main(['verify', {str(graph)!r}]) == 0\n"
+        f"assert main(['series', {str(graph)!r}, '--k-max', '1']) == 0\n"
+        "assert main(['mc-alpha', '--nu', '2', '--n', '8', '--trials', '2', '--threads', '1']) == 0\n"
+        "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_nu_reaches_jump_demo_and_mc_alpha(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"nu": 3, "n": 4}))

@@ -482,6 +482,21 @@ def test_canonical_sampler_does_not_depend_on_chunk_size(monkeypatch, chunk):
         assert np.array_equal(constructions._canonical_removed(p), want)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 44])
+def test_simple_sampler_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    """_simple_removed draws _EDGE_CHUNK row pairs at a time, across the
+    ends of rows, and gives the one-call draws of the whole triangle."""
+    params = [JumpParams(2, 9, 3), JumpParams(3, 7, 5), JumpParams(5, 12, 2**64 - 1)]
+    whole = [constructions._simple_removed(p) for p in params]
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
+    monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)
+    for p, want in zip(params, whole):
+        i, j = np.triu_indices(p.n, k=1)
+        col = next(constructions._randranges(p.seed, [np.full(len(i), p.nu)]))
+        assert np.array_equal(want, np.stack((i * p.nu + col, j * p.nu + col), axis=1))
+        assert np.array_equal(constructions._simple_removed(p), want)
+
+
 def _reference_orbit_checks(removed: np.ndarray, nu: int, n: int) -> list:
     """verify_construction's per-pair canonical checks made on the whole
     array: codes x * N + y of the orbit representatives, then np.unique."""
@@ -513,3 +528,47 @@ def test_orbit_checks_match_the_whole_array_checks(p, data):
     chunk = data.draw(st.sampled_from([1, 7, 44, len(removed)]))
     chunks = [removed[lo : lo + chunk] for lo in range(0, len(removed), chunk)]
     assert constructions._orbit_checks(chunks, p.nu, p.n) == _reference_orbit_checks(removed, p.nu, p.n)
+
+
+def _reference_row_checks(removed: np.ndarray, nu: int, n: int) -> list:
+    """verify_construction's per-pair simple checks made on the whole array:
+    the row pairs sorted in place, then np.unique."""
+    u, v = removed[:, 0], removed[:, 1]
+    rows = removed // nu
+    return [
+        ("one removed edge per row pair", len(removed) == n * (n - 1) // 2, ""),
+        ("removed edges join equal columns of distinct rows", bool(((u % nu == v % nu) & (rows[:, 0] != rows[:, 1])).all()), ""),
+        ("row pairs all distinct", len(np.unique(np.sort(rows, axis=1), axis=0)) == len(removed), ""),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(params_strategy, st.data())
+def test_row_checks_match_the_whole_array_checks(p, data):
+    """Chunked row-pair counts give the checks np.unique on the whole array
+    gave, for sampled removed edges with some pairs replaced and appended:
+    in range or not, in one row, or another pair's rows."""
+    removed = sample_simple_jump_graph(p).removed
+    pair = st.tuples(st.integers(-2 * p.nu, p.N + 2 * p.nu), st.integers(-2 * p.nu, p.N + 2 * p.nu))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(removed) - 1), pair | st.integers(0, len(removed) - 1)), max_size=4))
+    for i, new in edits:
+        removed[i] = removed[new] if isinstance(new, int) else new
+    removed = np.concatenate((removed, np.array(data.draw(st.lists(pair, max_size=3)), np.int64).reshape(-1, 2)))
+    chunk = data.draw(st.sampled_from([1, 7, 44, len(removed)]))
+    chunks = [removed[lo : lo + chunk] for lo in range(0, len(removed), chunk)]
+    assert constructions._row_checks(chunks, p.nu, p.n) == _reference_row_checks(removed, p.nu, p.n)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "simple"])
+def test_seed_check_compares_a_chunk_at_a_time(monkeypatch, kind):
+    """The resampled edges are compared chunk by chunk: equal arrays pass,
+    and a changed, missing or extra last pair fails."""
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", 7)
+    p = JumpParams(3, 6, 11)
+    cg = sample_jump_graph(p) if kind == "canonical" else sample_simple_jump_graph(p)
+    chunks = constructions._canonical_chunks if kind == "canonical" else constructions._simple_chunks
+    changed = cg.removed.copy()
+    changed[-1, 1] += 1
+    assert constructions._same_pairs(cg.removed, chunks(p))
+    for removed in (changed, cg.removed[:-1], np.concatenate((cg.removed, cg.removed[:1]))):
+        assert not constructions._same_pairs(removed, chunks(p))
