@@ -4,8 +4,10 @@ certified a_nu floor separates from the solved/refuted alpha(G).
 
 --sizes lists the row counts n; each graph has N = n * nu vertices. Writes a
 CSV with one row per (N, seed):
-    N, seed, alpha_lo, alpha_hi, status, a_nu_floor, union_bound, solve_secs
-The bracket [alpha_lo, alpha_hi] is the one `capforge jump-demo` reports.
+    N, seed, alpha_lo, alpha_hi, status, method, a_nu_floor, union_bound, solve_secs
+The bracket [alpha_lo, alpha_hi] is the one `capforge jump-demo` reports;
+method says how its upper end was searched: "halves" (two half-size
+refutations) or "direct".
 
 Usage:
     python scripts/jump_sweep.py --nu 2 --sizes 8,16,32,64,128,256,512 \
@@ -61,13 +63,14 @@ def main():
                     "alpha_lo": lo,
                     "alpha_hi": hi,
                     "status": res.status,
+                    "method": res.method,
                     "a_nu_floor": round(cert_size ** (1 / args.nu), 4),
                     "union_bound": first_moment_bound(args.nu, N, target),
                     "solve_secs": round(secs, 2),
                 }
             )
             print(
-                f"N={N:5d} seed={seed}: alpha in [{lo}, {hi}] ({res.status}), "
+                f"N={N:5d} seed={seed}: alpha in [{lo}, {hi}] ({res.status}, {res.method}), "
                 f"a_{args.nu} >= {rows[-1]['a_nu_floor']}, {secs:.1f}s"
             )
     out = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .constructions import ConstructedGraph, JumpParams, MultiJumpSpec, certificate_size_for, check_certificate
 from .graphs import DEFAULT_CAP, Graph, strong_power
-from .solver import MISResult, SolverBudget, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
+from .solver import MISResult, SolverBudget, _refute_by_halves, clique_cover_upper_bound, local_search_lower_bound, max_independent_set
 
 
 @dataclass
@@ -125,8 +125,14 @@ def jump_target(N: int, nu: int) -> int:
 def alpha_bracket(g: Graph, budget: SolverBudget | None = None) -> tuple[int, int, MISResult]:
     """``(lower, upper, result)`` around alpha(g) from one solve under
     ``budget``: an exact size twice, else the size found and the smaller of
-    the clique cover and any bound a targeted search certified."""
-    res = max_independent_set(g, budget)
+    the clique cover and any bound a targeted search certified. A targeted
+    solve first tries to refute the target through the two index halves of
+    ``g`` (``solver._refute_by_halves``); ``result.method`` and
+    ``result.parts`` say how the bound was certified."""
+    if budget is not None and budget.target is not None:
+        res = _refute_by_halves(g, budget)
+    else:
+        res = max_independent_set(g, budget)
     if res.status == "exact":
         return res.size, res.size, res
     upper = clique_cover_upper_bound(g)

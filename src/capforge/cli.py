@@ -272,6 +272,8 @@ def cmd_jump_demo(args) -> int:
             "upper": alpha1_hi,
             "status": res.status,
             "search_nodes": res.search_nodes,
+            "method": res.method,
+            "parts": list(res.parts),
             "elapsed_secs": round(res.elapsed, 3),
             "setup_secs": round(res.setup_secs, 3),
             "search_secs": round(res.search_secs, 3),
@@ -285,7 +287,7 @@ def cmd_jump_demo(args) -> int:
     }
     print(f"N={N} nu={nu} seed={seed}")
     print(f"a_{nu} >= {a_nu:.4f} (certificate of size {cert_size} in the power view)")
-    print(f"alpha(G) in [{alpha1_lo}, {alpha1_hi}] via {res.status} ({res.search_nodes} nodes, {res.elapsed:.2f}s)")
+    print(f"alpha(G) in [{alpha1_lo}, {alpha1_hi}] via {res.status}, {res.method} search ({res.search_nodes} nodes, {res.elapsed:.2f}s)")
     print(f"union bound Pr[alpha >= {target}] <= {bound:.3e}")
     if caveat:
         print(f"note: N={N} is too small for a visible jump (theory allows alpha up to ~{expected_alpha1:.1f})")

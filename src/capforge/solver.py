@@ -11,7 +11,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,11 @@ class MISResult:
     elapsed: float = 0.0
     setup_secs: float = 0.0  # of elapsed, the part before the first search node
     search_secs: float = 0.0  # and the rest
+    # How a targeted bracket (analysis.alpha_bracket) was certified or
+    # searched, "halves" or "direct", and each search it ran, in order: a
+    # dict of the vertices first..last, target, nodes and status.
+    method: str | None = None
+    parts: tuple = ()
 
 
 def brute_force_mis(g: Graph) -> MISResult:
@@ -259,7 +264,8 @@ def _search(adj, nonadj, bit, r_mask, size, cands, best, floor_prune, target, ma
     Returns the nodes entered and how the search ended: ``"done"`` (searched
     to the end), ``"hit"`` (a clique of ``target`` vertices found) or
     ``"cut"`` (``max_nodes`` or the absolute ``deadline`` reached, or the
-    ``stop`` event set; both are looked at every 64 nodes).
+    ``stop`` event set; both are looked at on nodes 1, 65, 129 and so on,
+    so no subtree is started once they are).
 
     The search keeps its own stack of nodes, so its depth is limited by the
     vertex count, not by the interpreter's recursion limit.
@@ -274,7 +280,7 @@ def _search(adj, nonadj, bit, r_mask, size, cands, best, floor_prune, target, ma
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return nodes, "cut"
-            if nodes & 63 == 0 and (
+            if nodes & 63 == 1 and (
                 (deadline is not None and time.perf_counter() > deadline) or (stop is not None and stop.is_set())
             ):
                 return nodes, "cut"
@@ -469,6 +475,99 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
         elapsed=t_end - t0,
         setup_secs=t_search - t0,
         search_secs=t_end - t_search,
+    )
+
+
+def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
+    """A targeted solve of ``g`` that first tries to certify alpha(g) <= t-1,
+    ``t = budget.target``, from the index halves A = 0..h-1 and B = h..n-1,
+    ``h = n // 2``. Every independent set splits between them, so refuting
+    ``tA = (t+1)//2`` in A and ``tB = t+1-tA`` in B certifies
+    ``(tA-1) + (tB-1) = t-1``.
+
+    The halves run only if ``g``'s greedy set is below t and, in each half,
+    the expected number of independent ``tX``-sets at the half's non-edge
+    density q, ``C(h, tX) q^C(tX, 2)``, is below 1; otherwise this is
+    ``max_independent_set(g, budget)``. If a half hits its target, the
+    direct search runs after all. All stages draw on one ``max_nodes`` and
+    one deadline, ``search_nodes`` counts them all, and a cut ends the solve
+    as ``lower_bound``. The set is the first of the largest among the greedy
+    set, the halves' sets mapped back and the direct search's.
+    """
+    t0 = time.perf_counter()
+    t, n = budget.target, g.n
+    h = n // 2
+    ta = (t + 1) // 2
+    halves = [(0, ta, [row & ((1 << h) - 1) for row in g.adj[:h]]), (h, t + 1 - ta, [row >> h for row in g.adj[h:]])]
+
+    def log_expected(target, rows):
+        size = len(rows)
+        if target > size:
+            return -math.inf
+        log_sets = math.lgamma(size + 1) - math.lgamma(target + 1) - math.lgamma(size - target + 1)
+        if target == 1:  # every vertex is an independent 1-set
+            return log_sets
+        pairs = size * (size - 1) // 2
+        q = 1 - sum(row.bit_count() for row in rows) / (2 * pairs)
+        return log_sets + math.comb(target, 2) * math.log(q) if q > 0 else -math.inf
+
+    greedy = _greedy_is(g)
+    best = frozenset(v for v in range(n) if greedy >> v & 1)
+    parts: list[dict] = []
+    nodes, search_secs = 0, 0.0
+    deadline = None if budget.max_time is None else t0 + budget.max_time
+
+    def left(target):  # what remains of the budget, for one more stage
+        return SolverBudget(
+            max_nodes=None if budget.max_nodes is None else budget.max_nodes - nodes,
+            max_time=None if deadline is None else max(deadline - time.perf_counter(), 0.0),
+            target=target,
+            workers=budget.workers,
+        )
+
+    def run(graph, first, stage):
+        nonlocal best, nodes, search_secs
+        res = max_independent_set(graph, stage)
+        parts.append({"first": first, "last": first + graph.n - 1, "target": stage.target, "nodes": res.search_nodes, "status": res.status})
+        nodes += res.search_nodes
+        search_secs += res.search_secs
+        if res.size > len(best):
+            best = frozenset(first + v for v in res.members)
+        return res
+
+    def expired():
+        return deadline is not None and time.perf_counter() >= deadline
+
+    if len(best) >= t or any(log_expected(target, rows) >= 0 for _, target, rows in halves):
+        return replace(run(g, 0, budget), method="direct", parts=tuple(parts))
+    method, refuted, hit = "halves", 0, False
+    for first, target, rows in halves:
+        if parts and expired():
+            break
+        res = run(Graph(len(rows), rows), first, left(target))
+        if res.certified_upper is None:  # hit, or cut short of its target
+            hit = res.size >= target
+            break
+        refuted += 1
+    certified = refuted == 2
+    if hit and not expired():
+        method = "direct"
+        certified = run(g, 0, left(t)).certified_upper is not None
+    status = "lower_bound"
+    if certified:
+        status = "exact" if len(best) == t - 1 else "upper_bound_certified"
+    t_end = time.perf_counter()
+    return MISResult(
+        members=best,
+        size=len(best),
+        status=status,
+        certified_upper=t - 1 if certified else None,
+        search_nodes=nodes,
+        elapsed=t_end - t0,
+        setup_secs=t_end - t0 - search_secs,
+        search_secs=search_secs,
+        method=method,
+        parts=tuple(parts),
     )
 
 

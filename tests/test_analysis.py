@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from capforge import (
@@ -15,6 +15,7 @@ from capforge import (
     SolverBudget,
     alpha_bracket,
     alpha_threshold,
+    brute_force_mis,
     clique_cover_upper_bound,
     class_index,
     complete_graph,
@@ -27,9 +28,12 @@ from capforge import (
     filter_representatives,
     first_moment_bound,
     independence_series,
+    is_independent,
     jump_target,
     local_search_lower_bound,
     make_graph,
+    max_independent_set,
+    mitm_mis,
     multi_jump_product,
     pair_profile,
     purge_full_classes,
@@ -511,3 +515,89 @@ class TestAlphaBracket:
         lo, hi, res = alpha_bracket(g, budget)
         assert res.status == "lower_bound" and res.certified_upper is None
         assert (lo, hi) == (res.size, clique_cover_upper_bound(g))
+
+
+def _fields(res):
+    return res.members, res.size, res.status, res.certified_upper, res.search_nodes
+
+
+def _random_graph(n, density, seed, independent=()):
+    """G(n, density), with no edge inside ``independent``."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density and not (u in independent and v in independent)]
+    return make_graph(n, edges)
+
+
+@st.composite
+def dense_graphs_and_targets(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    density = draw(st.sampled_from((0.3, 0.6, 0.8, 0.9, 0.95)))
+    return _random_graph(n, density, draw(st.integers(min_value=0, max_value=2**32))), draw(st.integers(min_value=1, max_value=12))
+
+
+class TestRefuteByHalves:
+    """A targeted bracket first tries to refute the target through the two
+    index halves; the gate, the fallback and the shared budget around it."""
+
+    def _jump_640(self):
+        return sample_jump_graph(JumpParams(nu=2, n=320, seed=1)).graph  # jump_target 26
+
+    @given(dense_graphs_and_targets())
+    @settings(max_examples=300, deadline=None)
+    def test_sound_and_direct_when_the_gate_says_no(self, case):
+        g, target = case
+        lo, hi, res = alpha_bracket(g, SolverBudget(target=target))
+        event(f"{res.method}, {len(res.parts)} parts, {res.status}")
+        alpha = brute_force_mis(g).size
+        assert is_independent(g, res.members) and lo == res.size <= alpha <= hi
+        assert res.search_nodes == sum(part["nodes"] for part in res.parts)
+        if res.method == "halves" and res.certified_upper is not None:
+            assert alpha <= res.certified_upper == target - 1
+        if len(res.parts) == 1:  # the gate said no, or the greedy set reached the target
+            assert res.parts[0]["last"] == g.n - 1
+            assert _fields(res) == _fields(max_independent_set(g, SolverBudget(target=target)))
+
+    def test_dense_graphs_pass_the_gate(self):
+        # G(24, 0.9) has alpha 3 or 4: refuting 7 takes 4 in each half of 12
+        for seed in range(5):
+            g = _random_graph(24, 0.9, seed)
+            lo, hi, res = alpha_bracket(g, SolverBudget(target=7))
+            assert (res.method, res.status, res.certified_upper) == ("halves", "upper_bound_certified", 6)
+            assert [(p["first"], p["last"], p["target"]) for p in res.parts] == [(0, 11, 4), (12, 23, 4)]
+            assert brute_force_mis(g).size <= 6
+
+    def test_a_half_that_hits_falls_back_to_the_direct_search(self):
+        # a planted independent 5-set in A = 0..19 passes the gate, then hits tA = 4
+        g = _random_graph(40, 0.85, 1, independent={0, 3, 7, 11, 15})
+        lo, hi, res = alpha_bracket(g, SolverBudget(target=7))
+        half_a, direct = res.parts
+        assert (half_a["first"], half_a["last"], half_a["target"], half_a["status"]) == (0, 19, 4, "lower_bound")
+        assert (direct["first"], direct["last"], direct["target"]) == (0, 39, 7)
+        assert half_a["nodes"] > 0 and res.search_nodes == half_a["nodes"] + direct["nodes"]
+        assert (res.method, res.status, res.certified_upper) == ("direct", "upper_bound_certified", 6)
+        assert lo == mitm_mis(g).size == 5 and hi == 6
+
+    def test_same_result_on_one_and_two_workers(self):
+        g = self._jump_640()
+        results = [alpha_bracket(g, SolverBudget(target=26, workers=w)) for w in (1, 2)]
+        (lo, hi, res), (lo2, hi2, res2) = results
+        assert (lo, hi, res.status, res.method) == (10, 25, "upper_bound_certified", "halves")
+        assert [(p["first"], p["last"], p["target"], p["nodes"]) for p in res.parts] == [(0, 319, 13, 77110), (320, 639, 14, 39616)]
+        assert res.search_nodes == 116726
+        assert (lo2, hi2, res2.method, res2.parts) == (lo, hi, res.method, res.parts)
+        assert _fields(res2) == _fields(res)
+        # the set is the full graph's greedy set, the one the direct search returns
+        assert res.members == max_independent_set(g, SolverBudget(target=26)).members
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cut_inside_half_a_is_a_lower_bound(self, workers):
+        g = self._jump_640()
+        lo, hi, res = alpha_bracket(g, SolverBudget(max_nodes=1000, target=26, workers=workers))
+        assert (res.status, res.certified_upper, res.search_nodes) == ("lower_bound", None, 1001)
+        assert [(p["first"], p["status"]) for p in res.parts] == [(0, "lower_bound")]
+        assert (lo, hi) == (res.size, clique_cover_upper_bound(g))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_expired_deadline_is_a_lower_bound(self, workers):
+        lo, hi, res = alpha_bracket(self._jump_640(), SolverBudget(max_time=0.0, target=26, workers=workers))
+        assert (res.status, res.method, len(res.parts)) == ("lower_bound", "halves", 1)

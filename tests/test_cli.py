@@ -180,8 +180,35 @@ def test_jump_demo_report_does_not_depend_on_threads(tmp_path):
         del r["config"]["threads"]
         for timing in ("elapsed_secs", "setup_secs", "search_secs"):
             del r["alpha1"][timing]
-    assert reports[0]["alpha1"] == {"lower": 7, "upper": 15, "status": "upper_bound_certified", "search_nodes": 3393}
+    assert reports[0]["alpha1"] == {
+        "lower": 7,
+        "upper": 15,
+        "status": "upper_bound_certified",
+        "search_nodes": 3393,
+        "method": "direct",  # at N=256 the halves' gate says no
+        "parts": [{"first": 0, "last": 255, "target": 16, "nodes": 3393, "status": "upper_bound_certified"}],
+    }
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_jump_demo_with_no_time_is_a_lower_bound(tmp_path, threads):
+    # a split search once ran root subtrees of fewer than 64 nodes to the end
+    out = tmp_path / "demo.json"
+    assert run("jump-demo", "--nu", "2", "--n", "64", "--budget-secs", "0", "--threads", threads, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["alpha1"]["status"] == "lower_bound"
+
+
+def test_jump_demo_names_the_halves(tmp_path, capsys):
+    out = tmp_path / "demo.json"
+    assert run("jump-demo", "--nu", "2", "--n", "320", "--seed", "1", "--threads", "1", "--out", str(out)) == 0
+    assert "alpha(G) in [10, 25] via upper_bound_certified, halves search (116726 nodes" in capsys.readouterr().out
+    alpha1 = json.loads(out.read_text())["alpha1"]
+    assert alpha1["method"] == "halves"
+    assert alpha1["parts"] == [
+        {"first": 0, "last": 319, "target": 13, "nodes": 77110, "status": "upper_bound_certified"},
+        {"first": 320, "last": 639, "target": 14, "nodes": 39616, "status": "upper_bound_certified"},
+    ]
 
 
 def test_multi_jump_report(tmp_path):
@@ -653,7 +680,12 @@ def test_jump_sweep_rows_are_jump_demo_reports(tmp_path, monkeypatch, capsys):
         assert run("jump-demo", "--n", str(int(row["N"]) // 2), "--seed", row["seed"], "--out", str(out)) == 0
         report = json.loads(out.read_text())
         alpha1 = report["alpha1"]
-        assert (int(row["alpha_lo"]), int(row["alpha_hi"]), row["status"]) == (alpha1["lower"], alpha1["upper"], alpha1["status"])
+        assert (int(row["alpha_lo"]), int(row["alpha_hi"]), row["status"], row["method"]) == (
+            alpha1["lower"],
+            alpha1["upper"],
+            alpha1["status"],
+            alpha1["method"],
+        )
         assert float(row["a_nu_floor"]) == round(report["certificate"]["a_k_lower"], 4)
         assert float(row["union_bound"]) == report["first_moment"]["bound"]
 

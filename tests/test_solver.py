@@ -435,8 +435,17 @@ class TestRootSplit:
         full = (1 << g.n) - 1
         stop = multiprocessing.Event()
         assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], stop)[1] == "done"
-        stop.set()
-        assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], stop) == (64, "cut")
+        stop.set()  # a subtree is not started once the stop is set
+        assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], stop) == (1, "cut")
+
+        class SetAfterEntry:
+            calls = 0
+
+            def is_set(self):
+                self.calls += 1
+                return self.calls > 1
+
+        assert _search(adj, nonadj, bit, 0, 0, full, 1, 15, 16, None, None, [], SetAfterEntry()) == (65, "cut")
 
     def test_node_budget_cut_matches_sequential(self):
         g = _refute_256(0)
