@@ -24,7 +24,7 @@ from .constructions import (
     sample_simple_jump_graph,
 )
 from .graphs import DEFAULT_CAP
-from .solver import SolverBudget, available_cpus, max_independent_set
+from .solver import SolverBudget, available_cpus, max_independent_set, worker_map
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,7 +111,7 @@ def _load_config(path: str | None, *kinds: str) -> dict:
         return {}
     try:
         cfg = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object")
@@ -289,10 +289,10 @@ def cmd_jump_demo(args) -> int:
     print(f"a_{nu} >= {a_nu:.4f} (certificate of size {cert_size} in the power view)")
     print(f"alpha(G) in [{alpha1_lo}, {alpha1_hi}] via {res.status}, {res.method} search ({res.search_nodes} nodes, {res.elapsed:.2f}s)")
     print(f"union bound Pr[alpha >= {target}] <= {bound:.3e}")
-    if caveat:
-        print(f"note: N={N} is too small for a visible jump (theory allows alpha up to ~{expected_alpha1:.1f})")
-    elif alpha1_hi < a_nu:
+    if alpha1_hi < a_nu:
         print(f"jump: a_{nu}/a_1 >= {a_nu / alpha1_hi:.3f}")
+    elif caveat:
+        print(f"note: N={N} is too small for a visible jump (theory allows alpha up to ~{expected_alpha1:.1f})")
     if args.out:
         _write_report(report, args.out)
     return 0
@@ -322,10 +322,9 @@ def cmd_multi_jump(args) -> int:
     return 0
 
 
-def _mc_trial(task: tuple[int, int, int, SolverBudget]) -> tuple[int, str]:
-    nu, n, seed, budget = task
-    cg = sample_jump_graph(JumpParams(nu=nu, n=n, seed=seed))
-    res = max_independent_set(cg.graph, budget)
+def _mc_trial(seed: int, nu: int, n: int, budget: SolverBudget, stop) -> tuple[int, str]:
+    """One trial's alpha and status; ``stop`` goes unused, as each solve has its own budget."""
+    res = max_independent_set(sample_jump_graph(JumpParams(nu=nu, n=n, seed=seed)).graph, budget)
     return res.size, res.status
 
 
@@ -334,14 +333,8 @@ def cmd_mc_alpha(args) -> int:
     nu, n, seed, N = params.nu, params.n, params.seed, params.N
     s_star = analysis.alpha_threshold(nu, N, args.p_budget, trials=args.trials)
     budget = _budget(args, workers=args.threads)
-    tasks = [(nu, n, seed + i, budget) for i in range(args.trials)]
-    if args.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only where a pool runs
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(_mc_trial, tasks))
-    else:
-        results = [_mc_trial(t) for t in tasks]
+    with worker_map(_mc_trial, range(seed, seed + args.trials), args.threads, nu, n, budget) as trials:
+        results = list(trials)
     alphas = [size for size, _ in results]
     # a trial that ran out of budget reports a lower bound on its alpha
     exhausted = [seed + i for i, (_, status) in enumerate(results) if status == "lower_bound"]

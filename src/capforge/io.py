@@ -322,7 +322,7 @@ def _read_own(f) -> dict | None:
 
     try:
         return json.loads(b"".join(rest).decode(), object_hook=hook)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # read_metadata's json route reports it
         return None
 
 
@@ -340,7 +340,7 @@ def read_metadata(path) -> dict | None:
     if meta is None:
         try:
             meta = json.loads(mp.read_text(), object_hook=_pair_arrays)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise GraphFormatError(f"{mp}: invalid JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise GraphFormatError(f"{mp}: expected a JSON object")

@@ -11,7 +11,8 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,17 +322,47 @@ def _search(adj, nonadj, bit, r_mask, size, cands, best, floor_prune, target, ma
             stack.pop()
 
 
-# What _search_child needs besides its node, set once in each pool worker.
-_WORKER_ARGS: tuple = ()
+# Items a pool worker takes per hand-off: a root subtree of the halves takes
+# about 1.7 ms, not much more than handing it over costs.
+_CHUNK = 4
+_WORKER: tuple = ()  # worker_map's (fn, shared, stop), set once in each worker
 
 
 def _init_worker(*args) -> None:
-    global _WORKER_ARGS
-    _WORKER_ARGS = args
+    global _WORKER
+    _WORKER = args
 
 
-def _search_child(child: tuple[int, int]) -> tuple[int, list, str]:
-    adj, nonadj, bit, best, floor_prune, target, max_nodes, deadline, stop = _WORKER_ARGS
+def _call(item):
+    fn, shared, stop = _WORKER
+    return fn(item, *shared, stop)
+
+
+@contextmanager
+def worker_map(fn, items, workers, *shared):
+    """Yields ``fn(item, *shared, stop)`` for each of ``items``, in order:
+    lazily in this process, with ``stop`` None, for one worker or item; else
+    from a pool of up to ``workers`` processes, _CHUNK items per hand-off,
+    whose initializer gives each worker ``shared`` and the ``stop`` event.
+    When the block ends, unstarted items are dropped and running ones see
+    ``stop``; none is killed, which could leave the result queue locked."""
+    workers = min(workers, len(items))
+    if workers < 2:
+        yield (fn(item, *shared, None) for item in items)
+        return
+    import multiprocessing  # here, so that a command that starts no pool does not load them
+    from concurrent.futures import ProcessPoolExecutor
+
+    stop = multiprocessing.Event()
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(fn, shared, stop))
+    try:
+        yield pool.map(_call, items, chunksize=_CHUNK)
+    finally:
+        stop.set()
+        pool.shutdown(cancel_futures=True)
+
+
+def _search_child(child: tuple[int, int], adj, nonadj, bit, best, floor_prune, target, max_nodes, deadline, stop) -> tuple[int, list, str]:
     r_mask, cands = child
     found: list = []
     nodes, state = _search(adj, nonadj, bit, r_mask, 1, cands, best, floor_prune, target, max_nodes, deadline, found, stop)
@@ -393,23 +424,9 @@ def _split_search(adj, nonadj, bit, full, best, floor_prune, target, max_nodes, 
     if not children:
         return nodes, "done"
     child_budget = None if max_nodes is None else max_nodes - nodes
-    # imported here, so that a command that starts no pool does not load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    stop = multiprocessing.Event()
-    pool = ProcessPoolExecutor(
-        min(workers, len(children)),
-        initializer=_init_worker,
-        initargs=(adj, nonadj, bit, best, floor_prune, target, child_budget, deadline, stop),
-    )
-    try:
-        return _merge(pool.map(_search_child, children), best, max_nodes, found)
-    finally:
-        # Unstarted subtrees are dropped and running ones see ``stop``. No worker is
-        # killed: one killed mid-write would leave the result queue locked for ever.
-        stop.set()
-        pool.shutdown(cancel_futures=True)
+    shared = (adj, nonadj, bit, best, floor_prune, target, child_budget, deadline)
+    with worker_map(_search_child, children, workers, *shared) as results:
+        return _merge(results, best, max_nodes, found)
 
 
 def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResult:
@@ -485,19 +502,21 @@ def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
     ``tA = (t+1)//2`` in A and ``tB = t+1-tA`` in B certifies
     ``(tA-1) + (tB-1) = t-1``.
 
-    The halves run only if ``g``'s greedy set is below t and, in each half,
-    the expected number of independent ``tX``-sets at the half's non-edge
-    density q, ``C(h, tX) q^C(tX, 2)``, is below 1; otherwise this is
-    ``max_independent_set(g, budget)``. If a half hits its target, the
-    direct search runs after all. All stages draw on one ``max_nodes`` and
-    one deadline, ``search_nodes`` counts them all, and a cut ends the solve
-    as ``lower_bound``. The set is the first of the largest among the greedy
-    set, the halves' sets mapped back and the direct search's.
+    The solve is a plan of alternatives, each a list of stages ``(first,
+    target, rows)``, each a targeted search of the vertices from ``first``
+    on, with adjacency ``rows``: the halves, if ``g``'s greedy set is below t
+    and in each half the expected number of independent ``tX``-sets at its
+    non-edge density q, ``C(h, tX) q^C(tX, 2)``, is below 1; then the direct
+    search. Each stage gets what is left of one ``max_nodes`` and one
+    deadline, looked at before every stage but the first. A stage that hits
+    moves on to the next alternative, a cut ends the solve as
+    ``lower_bound``, and an alternative whose stages all refute certifies.
+    The set is the first of the largest among the greedy set and the
+    stages' sets mapped back; ``search_nodes`` counts every stage.
     """
     t0 = time.perf_counter()
     t, n = budget.target, g.n
-    h = n // 2
-    ta = (t + 1) // 2
+    h, ta = n // 2, (t + 1) // 2
     halves = [(0, ta, [row & ((1 << h) - 1) for row in g.adj[:h]]), (h, t + 1 - ta, [row >> h for row in g.adj[h:]])]
 
     def log_expected(target, rows):
@@ -513,49 +532,34 @@ def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
 
     greedy = _greedy_is(g)
     best = frozenset(v for v in range(n) if greedy >> v & 1)
+    plan = [("direct", [(0, t, g.adj)])]
+    if len(best) < t and all(log_expected(target, rows) < 0 for _, target, rows in halves):
+        plan.insert(0, ("halves", halves))
     parts: list[dict] = []
     nodes, search_secs = 0, 0.0
     deadline = None if budget.max_time is None else t0 + budget.max_time
-
-    def left(target):  # what remains of the budget, for one more stage
-        return SolverBudget(
-            max_nodes=None if budget.max_nodes is None else budget.max_nodes - nodes,
-            max_time=None if deadline is None else max(deadline - time.perf_counter(), 0.0),
-            target=target,
-            workers=budget.workers,
-        )
-
-    def run(graph, first, stage):
-        nonlocal best, nodes, search_secs
-        res = max_independent_set(graph, stage)
-        parts.append({"first": first, "last": first + graph.n - 1, "target": stage.target, "nodes": res.search_nodes, "status": res.status})
-        nodes += res.search_nodes
-        search_secs += res.search_secs
-        if res.size > len(best):
-            best = frozenset(first + v for v in res.members)
-        return res
-
-    def expired():
-        return deadline is not None and time.perf_counter() >= deadline
-
-    if len(best) >= t or any(log_expected(target, rows) >= 0 for _, target, rows in halves):
-        return replace(run(g, 0, budget), method="direct", parts=tuple(parts))
-    method, refuted, hit = "halves", 0, False
-    for first, target, rows in halves:
-        if parts and expired():
+    for name, stages in plan:
+        for first, target, rows in stages:
+            now = time.perf_counter()
+            if parts and deadline is not None and now >= deadline:
+                state = "cut"
+                break
+            method = name  # of the last alternative that ran a stage
+            max_nodes = None if budget.max_nodes is None else budget.max_nodes - nodes
+            max_time = None if deadline is None else max(deadline - now, 0.0)
+            res = max_independent_set(Graph(len(rows), rows), SolverBudget(max_nodes, max_time, target, budget.workers))
+            parts.append({"first": first, "last": first + len(rows) - 1, "target": target, "nodes": res.search_nodes, "status": res.status})
+            nodes += res.search_nodes
+            search_secs += res.search_secs
+            if res.size > len(best):
+                best = frozenset(first + v for v in res.members)
+            state = "done" if res.certified_upper is not None else "hit" if res.size >= target else "cut"
+            if state != "done":
+                break
+        if state != "hit":
             break
-        res = run(Graph(len(rows), rows), first, left(target))
-        if res.certified_upper is None:  # hit, or cut short of its target
-            hit = res.size >= target
-            break
-        refuted += 1
-    certified = refuted == 2
-    if hit and not expired():
-        method = "direct"
-        certified = run(g, 0, left(t)).certified_upper is not None
-    status = "lower_bound"
-    if certified:
-        status = "exact" if len(best) == t - 1 else "upper_bound_certified"
+    certified = state == "done"
+    status = ("exact" if len(best) == t - 1 else "upper_bound_certified") if certified else "lower_bound"
     t_end = time.perf_counter()
     return MISResult(
         members=best,

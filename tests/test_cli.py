@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -189,6 +190,32 @@ def test_jump_demo_report_does_not_depend_on_threads(tmp_path):
         "parts": [{"first": 0, "last": 255, "target": 16, "nodes": 3393, "status": "upper_bound_certified"}],
     }
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_jump_demo_prints_a_jump_it_certifies_at_small_n(tmp_path, capsys):
+    # alpha <= 15 < 16 = a_2 is a jump, though theory allows alpha up to ~16 here
+    out = tmp_path / "demo.json"
+    assert run("jump-demo", "--nu", "2", "--n", "128", "--seed", "0", "--threads", "1", "--out", str(out)) == 0
+    stdout = re.sub(r"nodes, [0-9.]+s\)", "nodes, Ts)", capsys.readouterr().out)
+    assert stdout == (
+        "N=256 nu=2 seed=0\n"
+        "a_2 >= 16.0000 (certificate of size 256 in the power view)\n"
+        "alpha(G) in [7, 15] via upper_bound_certified, direct search (3393 nodes, Ts)\n"
+        "union bound Pr[alpha >= 16] <= 1.941e-09\n"
+        "jump: a_2/a_1 >= 1.067\n"
+        f"report written to {out}\n"
+    )
+    assert json.loads(out.read_text())["small_n_caveat"] is True
+
+
+def test_mc_alpha_report_does_not_depend_on_threads(tmp_path):
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"mc{threads}.json"
+        assert run("mc-alpha", "--nu", "2", "--n", "16", "--trials", "6", "--threads", str(threads), "--out", str(out)) == 0
+        reports.append(json.loads(out.read_text()))
+        assert reports[-1]["config"].pop("threads") == threads
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -458,6 +485,45 @@ def test_malformed_sidecar_fails_verify_and_series(tmp_path, capsys, key, value)
     assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
 
 
+_DEEP = "[" * 100000  # json.loads raises RecursionError on this
+
+
+def _deeply_nested_sidecar(tmp_path, route):
+    """A graph whose sidecar nests too deeply for json: bare, which only the
+    json route reads, or as one more key of a sidecar in write_graph's own
+    layout, which the numpy route reads first."""
+    g = tmp_path / "g.col"
+    assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0
+    mp = meta_path(g)
+    own = mp.read_text().replace("{\n", '{\n  "deep": ' + _DEEP + "]" * len(_DEEP) + ",\n", 1)
+    mp.write_text(_DEEP if route == "json" else own)
+    return g
+
+
+def test_a_config_nested_too_deeply_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_DEEP)
+    assert run("jump-demo", "--n", "8", "--config", str(cfg)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot read config {cfg}: ")
+
+
+@pytest.mark.parametrize("route", ["json", "own"])
+def test_verify_fails_a_sidecar_nested_too_deeply(tmp_path, capsys, route):
+    g = _deeply_nested_sidecar(tmp_path, route)
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    captured = capsys.readouterr()
+    assert f"[FAIL] metadata parses ({meta_path(g)}: invalid JSON: " in captured.out and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("route", ["json", "own"])
+def test_series_refuses_a_sidecar_nested_too_deeply(tmp_path, capsys, route):
+    g = _deeply_nested_sidecar(tmp_path, route)
+    capsys.readouterr()
+    assert run("series", str(g)) == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}: ")
+
+
 def test_series_refuses_a_file_that_fails_verification(tmp_path, capsys):
     """A well-formed sidecar that does not describe the graph (a canonical
     graph relabelled simple) fails verification: exit 2 before any solve,
@@ -524,6 +590,7 @@ def test_commands_without_a_pool_never_import_it(tmp_path):
         f"assert main(['verify', {str(graph)!r}]) == 0\n"
         f"assert main(['series', {str(graph)!r}, '--k-max', '1']) == 0\n"
         "assert main(['mc-alpha', '--nu', '2', '--n', '8', '--trials', '2', '--threads', '1']) == 0\n"
+        "assert main(['jump-demo', '--n', '64', '--threads', '1']) == 0\n"
         "loaded = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
         "assert not loaded, f'{loaded} imported'\n"
     )

@@ -3,6 +3,7 @@ import itertools
 import math
 import multiprocessing
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from capforge import (
     sample_jump_graph,
     strong_product,
 )
-from capforge.solver import _merge, _search, _tables
+from capforge.solver import _merge, _search, _tables, worker_map
 
 
 def random_graph(n: int, density: float, seed: int):
@@ -462,6 +463,25 @@ class TestRootSplit:
         finally:
             multiprocessing.set_start_method(previous, force=True)
         assert split == _split_fields(_refute_256(0), target=11)
+
+
+def _scaled(item, scale, stop):
+    return item * scale, stop is None
+
+
+class TestWorkerMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_in_the_order_of_the_items(self, workers):
+        # 10 items are 3 hand-offs to a pool; in this process stop is None
+        with worker_map(_scaled, range(10), workers, 3) as results:
+            assert list(results) == [(3 * i, workers == 1) for i in range(10)]
+        assert multiprocessing.active_children() == []
+
+    def test_one_item_or_none_starts_no_pool(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "concurrent.futures", None)  # importing it fails
+        for items in ([], [5]):
+            with worker_map(_scaled, items, 4, 2) as results:
+                assert list(results) == [(2 * i, True) for i in items]
 
 
 def _reference_clique_cover(g):
