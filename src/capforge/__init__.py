@@ -8,7 +8,6 @@ from .analysis import (
     ClassProfile,
     SeriesEntry,
     SeriesReport,
-    alpha_bracket,
     alpha_threshold,
     class_index,
     edge_probability,
@@ -56,6 +55,7 @@ from .io import GraphFormatError, read_graph, read_metadata, write_graph
 from .solver import (
     MISResult,
     SolverBudget,
+    alpha_bracket,
     available_cpus,
     brute_force_mis,
     clique_cover_upper_bound,

@@ -24,7 +24,7 @@ from .constructions import (
     sample_simple_jump_graph,
 )
 from .graphs import DEFAULT_CAP
-from .solver import SolverBudget, available_cpus, max_independent_set, worker_map
+from .solver import SolverBudget, alpha_bracket, available_cpus, max_independent_set, worker_map
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +260,7 @@ def cmd_jump_demo(args) -> int:
         return 2
     a_nu = N ** (1 / nu)
     target = analysis.jump_target(N, nu)
-    alpha1_lo, alpha1_hi, res = analysis.alpha_bracket(cg.graph, _budget(args, target=target, workers=args.threads))
+    alpha1_lo, alpha1_hi, res = alpha_bracket(cg.graph, _budget(args, target=target, workers=args.threads))
     bound = analysis.first_moment_bound(nu, N, target)
     expected_alpha1 = 2 * math.log(N, nu)
     caveat = expected_alpha1 >= a_nu

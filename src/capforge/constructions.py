@@ -301,22 +301,24 @@ def complete_minus(N: int, removed) -> Graph:
 _WORD_CHUNK = 1 << 12
 
 
-def _randranges(seed: int, sizes_chunks):
-    """For each int64 array m of ``sizes_chunks`` in turn, the draws
-    ``[rng.randrange(x) for x in m]`` of one ``rng = random.Random(seed)``,
-    as an int64 array, from the generator's 32-bit words drawn in bulk.
+def _sampler(seed: int):
+    """``draw(m)``: the draws ``[rng.randrange(x) for x in m]`` of one
+    ``rng = random.Random(seed)``, for an int64 array m, going on from the
+    last call; as an int64 array, from the generator's 32-bit words in bulk.
 
     randrange(m) takes words w until w >> (32 - k) < m, where k is
     m.bit_length(), and returns that value. Sizes that share the threshold
     m << (32 - k), as nu and nu/2 do, accept the same words, so the accepted
     words, in order, are the draws. getrandbits(32 * K) holds the next K
-    words, the first in the lowest bits. Accepted words a chunk does not
-    use are kept for the next.
+    words, the first in the lowest bits. Accepted words a call does not use
+    are kept for the next.
     """
     rng = random.Random(seed)
     threshold = None
     spare = np.empty(0, np.uint32)  # accepted words not drawn on yet
-    for sizes in sizes_chunks:
+
+    def draw(sizes: np.ndarray) -> np.ndarray:
+        nonlocal threshold, spare
         if len(sizes) and sizes.max() >= 1 << 32:
             raise ValueError(f"nu must be below 2**32 to sample, got {int(sizes.max())}")
         shift = 32 - np.frexp(sizes)[1]  # 32 - m.bit_length()
@@ -334,33 +336,19 @@ def _randranges(seed: int, sizes_chunks):
             kept, spare = spare[: len(out) - done], spare[len(out) - done :]
             out[done : done + len(kept)] = kept >> shift[done : done + len(kept)]
             done += len(kept)
-        yield out
+        return out
 
-
-def _drawn(seed: int, chunks, size_of):
-    """Each chunk of pairs with its draws: ``rng.randrange(m)`` for each m of
-    ``size_of(chunk)``, from one ``rng = random.Random(seed)``."""
-    held = []
-
-    def sizes():
-        for chunk in chunks:
-            held.append(chunk)
-            yield size_of(chunk)
-
-    for draws in _randranges(seed, sizes()):  # it takes one chunk's sizes per chunk of draws
-        yield held.pop(), draws
+    return draw
 
 
 def _canonical_chunks(params: JumpParams):
     """The edges sample_jump_graph removes, _EDGE_CHUNK orbits at a time:
     each orbit's representative moved by its draw."""
     nu, n, N = params.nu, params.n, params.N
-    # for even nu the pairs N/2 apart close after nu/2 shifts
-    for chunk, t in _drawn(
-        params.seed,
-        _group_pairs(*_orbit_groups(nu, n)),
-        lambda c: np.where((nu % 2 == 0) & (2 * (c[:, 1] - c[:, 0]) == N), nu // 2, nu),
-    ):
+    draw = _sampler(params.seed)
+    for chunk in _group_pairs(*_orbit_groups(nu, n)):
+        # for even nu the pairs N/2 apart close after nu/2 shifts
+        t = draw(np.where((nu % 2 == 0) & (2 * (chunk[:, 1] - chunk[:, 0]) == N), nu // 2, nu))
         chunk += (t * n)[:, None]
         chunk %= N
         chunk.sort(axis=1)
@@ -427,8 +415,9 @@ def _simple_chunks(params: JumpParams):
     i < j at a time: each pair's vertices in the column it draws."""
     nu, n = params.nu, params.n
     rows = np.arange(n, dtype=np.int64)
-    for pairs, col in _drawn(params.seed, _group_pairs(rows, rows + 1, n - 1 - rows), lambda c: np.full(len(c), nu)):
-        yield pairs * nu + col[:, None]
+    draw = _sampler(params.seed)
+    for pairs in _group_pairs(rows, rows + 1, n - 1 - rows):
+        yield pairs * nu + draw(np.full(len(pairs), nu))[:, None]
 
 
 def _simple_removed(params: JumpParams) -> np.ndarray:

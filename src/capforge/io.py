@@ -158,19 +158,31 @@ def read_graph(path, cap: int = DEFAULT_CAP) -> Graph:
     """Parse a graph file, refusing a header of over ``cap`` vertices before
     anything is allocated for them. A body in write_graph's own format takes a
     regex and numpy fast path on windows of the file, so the read holds the
-    packed rows and one window, not the file; any other, and any invalid
-    one, is read again as text by the line-by-line parser, which raises
-    GraphFormatError with the line."""
+    packed rows and one window, not the file; any other or invalid body goes
+    to the line-by-line parser, which raises GraphFormatError with the line."""
     with open(path, "rb") as f:
-        g = _read_plain(f, cap)
-    return g if g is not None else _read_lines(path, Path(path).read_text(), cap)
+        return _read_plain(f, cap) or _read_lines(path, f, cap)
 
 
-def _read_lines(path, text: str, cap: int = DEFAULT_CAP) -> Graph:
+def _text_lines(f):
+    """The lines of the binary file f, from its start, as ``str.splitlines()``
+    splits its text, decoded a line at a time: a bad header is refused unread."""
+    f.seek(0)
+    for piece in f:
+        try:
+            text = piece.decode()
+        except UnicodeDecodeError as exc:  # named at its position in the file, as decoding all of it names it
+            at = f.tell() - len(piece)
+            exc.object, exc.start, exc.end = bytes(at) + piece, at + exc.start, at + exc.end
+            raise
+        yield from text.splitlines()
+
+
+def _read_lines(path, f, cap: int = DEFAULT_CAP) -> Graph:
     n = None
     m = None
     edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_text_lines(f), start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue

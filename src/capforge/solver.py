@@ -65,9 +65,9 @@ class MISResult:
     elapsed: float = 0.0
     setup_secs: float = 0.0  # of elapsed, the part before the first search node
     search_secs: float = 0.0  # and the rest
-    # How a targeted bracket (analysis.alpha_bracket) was certified or
-    # searched, "halves" or "direct", and each search it ran, in order: a
-    # dict of the vertices first..last, target, nodes and status.
+    # How a bracket (alpha_bracket) was certified or searched: "direct", the
+    # only stage of an untargeted one, or "halves", and each search it ran,
+    # in order, as a dict of the vertices first..last, target, nodes and status.
     method: str | None = None
     parts: tuple = ()
 
@@ -495,29 +495,29 @@ def max_independent_set(g: Graph, budget: SolverBudget | None = None) -> MISResu
     )
 
 
-def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
-    """A targeted solve of ``g`` that first tries to certify alpha(g) <= t-1,
-    ``t = budget.target``, from the index halves A = 0..h-1 and B = h..n-1,
-    ``h = n // 2``. Every independent set splits between them, so refuting
-    ``tA = (t+1)//2`` in A and ``tB = t+1-tA`` in B certifies
-    ``(tA-1) + (tB-1) = t-1``.
+def alpha_bracket(g: Graph, budget: SolverBudget | None = None) -> tuple[int, int, MISResult]:
+    """``(lower, upper, result)`` around alpha(g) from one solve under
+    ``budget``: an exact size twice, else the size found and the smaller of
+    the clique cover and any bound the solve certified.
 
-    The solve is a plan of alternatives, each a list of stages ``(first,
-    target, rows)``, each a targeted search of the vertices from ``first``
-    on, with adjacency ``rows``: the halves, if ``g``'s greedy set is below t
-    and in each half the expected number of independent ``tX``-sets at its
-    non-edge density q, ``C(h, tX) q^C(tX, 2)``, is below 1; then the direct
-    search. Each stage gets what is left of one ``max_nodes`` and one
-    deadline, looked at before every stage but the first. A stage that hits
-    moves on to the next alternative, a cut ends the solve as
-    ``lower_bound``, and an alternative whose stages all refute certifies.
-    The set is the first of the largest among the greedy set and the
-    stages' sets mapped back; ``search_nodes`` counts every stage.
+    The solve runs a plan of alternatives, each a list of stages ``(first,
+    target, rows)``, each a search of the vertices from ``first`` on, with
+    adjacency ``rows``. Untargeted, the plan is one direct stage. With
+    ``t = budget.target`` it is the direct search, after the index halves
+    A = 0..h-1 and B = h..n-1, ``h = n // 2``, if ``g``'s greedy set is
+    below t and in each half the expected number of independent ``tX``-sets
+    at its non-edge density q, ``C(h, tX) q^C(tX, 2)``, is below 1: every
+    independent set splits between them, so refuting ``tA = (t+1)//2`` in A
+    and ``tB = t+1-tA`` in B certifies ``(tA-1) + (tB-1) = t-1``. Each stage
+    gets what is left of one ``max_nodes`` and one deadline, looked at before
+    every stage but the first. A hit moves on to the next alternative, a cut
+    ends the solve as ``lower_bound``, and an alternative whose stages all
+    finish certifies t-1, or alpha(g) when untargeted. The set is the first
+    of the largest among the greedy set and the stages' sets mapped back.
     """
     t0 = time.perf_counter()
+    budget = budget or SolverBudget()
     t, n = budget.target, g.n
-    h, ta = n // 2, (t + 1) // 2
-    halves = [(0, ta, [row & ((1 << h) - 1) for row in g.adj[:h]]), (h, t + 1 - ta, [row >> h for row in g.adj[h:]])]
 
     def log_expected(target, rows):
         size = len(rows)
@@ -526,15 +526,17 @@ def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
         log_sets = math.lgamma(size + 1) - math.lgamma(target + 1) - math.lgamma(size - target + 1)
         if target == 1:  # every vertex is an independent 1-set
             return log_sets
-        pairs = size * (size - 1) // 2
-        q = 1 - sum(row.bit_count() for row in rows) / (2 * pairs)
+        q = 1 - sum(row.bit_count() for row in rows) / (size * (size - 1))
         return log_sets + math.comb(target, 2) * math.log(q) if q > 0 else -math.inf
 
-    greedy = _greedy_is(g)
+    greedy = _greedy_is(g) if t is not None else 0  # an untargeted stage starts from the same set
     best = frozenset(v for v in range(n) if greedy >> v & 1)
     plan = [("direct", [(0, t, g.adj)])]
-    if len(best) < t and all(log_expected(target, rows) < 0 for _, target, rows in halves):
-        plan.insert(0, ("halves", halves))
+    if t is not None and len(best) < t:
+        h, ta = n // 2, (t + 1) // 2
+        halves = [(0, ta, [row & ((1 << h) - 1) for row in g.adj[:h]]), (h, t + 1 - ta, [row >> h for row in g.adj[h:]])]
+        if all(log_expected(target, rows) < 0 for _, target, rows in halves):
+            plan.insert(0, ("halves", halves))
     parts: list[dict] = []
     nodes, search_secs = 0, 0.0
     deadline = None if budget.max_time is None else t0 + budget.max_time
@@ -553,19 +555,18 @@ def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
             search_secs += res.search_secs
             if res.size > len(best):
                 best = frozenset(first + v for v in res.members)
-            state = "done" if res.certified_upper is not None else "hit" if res.size >= target else "cut"
+            state = "done" if res.status != "lower_bound" else "hit" if target is not None and res.size >= target else "cut"
             if state != "done":
                 break
         if state != "hit":
             break
-    certified = state == "done"
-    status = ("exact" if len(best) == t - 1 else "upper_bound_certified") if certified else "lower_bound"
+    certified = None if state != "done" else len(best) if t is None else t - 1
     t_end = time.perf_counter()
-    return MISResult(
+    res = MISResult(
         members=best,
         size=len(best),
-        status=status,
-        certified_upper=t - 1 if certified else None,
+        status="lower_bound" if certified is None else "exact" if certified == len(best) else "upper_bound_certified",
+        certified_upper=None if t is None else certified,
         search_nodes=nodes,
         elapsed=t_end - t0,
         setup_secs=t_end - t0 - search_secs,
@@ -573,6 +574,10 @@ def _refute_by_halves(g: Graph, budget: SolverBudget) -> MISResult:
         method=method,
         parts=tuple(parts),
     )
+    if res.status == "exact":
+        return res.size, res.size, res
+    upper = clique_cover_upper_bound(g)
+    return res.size, upper if certified is None else min(upper, certified), res
 
 
 def clique_cover_upper_bound(g: Graph) -> int:

@@ -532,7 +532,8 @@ def _random_graph(n, density, seed, independent=()):
 def dense_graphs_and_targets(draw):
     n = draw(st.integers(min_value=1, max_value=24))
     density = draw(st.sampled_from((0.3, 0.6, 0.8, 0.9, 0.95)))
-    return _random_graph(n, density, draw(st.integers(min_value=0, max_value=2**32))), draw(st.integers(min_value=1, max_value=12))
+    g = _random_graph(n, density, draw(st.integers(min_value=0, max_value=2**32)))
+    return g, draw(st.none() | st.integers(min_value=1, max_value=12))  # None: an untargeted bracket
 
 
 class TestRefuteByHalves:
@@ -553,7 +554,10 @@ class TestRefuteByHalves:
         assert res.search_nodes == sum(part["nodes"] for part in res.parts)
         if res.method == "halves" and res.certified_upper is not None:
             assert alpha <= res.certified_upper == target - 1
-        if len(res.parts) == 1:  # the gate said no, or the greedy set reached the target
+        if target is None:  # one direct stage, the exact search
+            assert (lo, hi, res.method) == (alpha, alpha, "direct")
+            assert [(part["first"], part["last"]) for part in res.parts] == [(0, g.n - 1)]
+        if len(res.parts) == 1:  # untargeted, the gate said no, or the greedy set reached the target
             assert res.parts[0]["last"] == g.n - 1
             assert _fields(res) == _fields(max_independent_set(g, SolverBudget(target=target)))
 

@@ -413,7 +413,7 @@ def test_from_metadata_refuses_pair_lists():
 
 
 def _randrange_loop(seed: int, sizes) -> list[int]:
-    """The reference _randranges must match: one randrange call per size."""
+    """The reference _sampler must match: one randrange call per size."""
     rng = random.Random(seed)
     return [rng.randrange(m) for m in sizes]
 
@@ -436,7 +436,7 @@ def _size_arrays(nu: int, n: int) -> dict[str, np.ndarray]:
 )
 def test_randranges_draws_what_randrange_draws(nu, n, seed, kind):
     sizes = _size_arrays(nu, n)[kind]
-    drawn = next(constructions._randranges(seed, [sizes]))
+    drawn = constructions._sampler(seed)(sizes)
     assert drawn.dtype == np.int64
     assert drawn.tolist() == _randrange_loop(seed, sizes.tolist())
 
@@ -446,15 +446,15 @@ def test_randranges_across_word_chunks(monkeypatch, nu, n):
     monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)  # many chunks, most draws past the first
     for sizes in _size_arrays(nu, n).values():
         for seed in (0, 7, 2**64 - 1):
-            assert next(constructions._randranges(seed, [sizes])).tolist() == _randrange_loop(seed, sizes.tolist())
+            assert constructions._sampler(seed)(sizes).tolist() == _randrange_loop(seed, sizes.tolist())
 
 
 def test_randranges_refuses_sizes_it_cannot_draw_in_bulk():
     with pytest.raises(ValueError, match=r"nu must be below 2\*\*32"):
-        next(constructions._randranges(0, [np.array([2, 1 << 32])]))
+        constructions._sampler(0)(np.array([2, 1 << 32]))
     with pytest.raises(ValueError, match="share one threshold"):
-        next(constructions._randranges(0, [np.array([2, 3])]))  # 2 << 30 and 3 << 30
-    assert next(constructions._randranges(0, [np.array([], dtype=np.int64)])).tolist() == []
+        constructions._sampler(0)(np.array([2, 3]))  # 2 << 30 and 3 << 30
+    assert constructions._sampler(0)(np.array([], dtype=np.int64)).tolist() == []
 
 
 @pytest.mark.parametrize("nu, n", [(2, 3), (2, 8), (3, 5), (4, 4), (5, 3)])
@@ -492,7 +492,7 @@ def test_simple_sampler_does_not_depend_on_chunk_size(monkeypatch, chunk):
     monkeypatch.setattr(constructions, "_WORD_CHUNK", 5)
     for p, want in zip(params, whole):
         i, j = np.triu_indices(p.n, k=1)
-        col = next(constructions._randranges(p.seed, [np.full(len(i), p.nu)]))
+        col = constructions._sampler(p.seed)(np.full(len(i), p.nu))
         assert np.array_equal(want, np.stack((i * p.nu + col, j * p.nu + col), axis=1))
         assert np.array_equal(constructions._simple_removed(p), want)
 

@@ -261,7 +261,7 @@ def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, 
     assert read_graph(path) == g
     path.write_bytes(_perturb(path.read_text(), how, random.Random(seed)).encode())
     text = path.read_text()
-    assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, text))
+    assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, BytesIO(text.encode())))
     if how in ("none", "crlf", "duplicate", "no_final_newline"):
         assert gio._read_plain(BytesIO(text.encode())) == g  # write_graph's own format: the fast path
     if how in ("none", "comment", "blank", "spaces", "plus", "crlf", "duplicate", "no_final_newline"):
@@ -471,6 +471,12 @@ def test_cap_bounds_both_parsers(tmp_path):
     assert _parse(path, lambda: read_graph(path, cap=4)) == f"GraphFormatError: {path}:1: header has 5 vertices, over the cap of 4"
 
 
+def test_header_over_the_cap_is_refused_before_the_rest_is_decoded(tmp_path):
+    path = tmp_path / "g.col"
+    path.write_bytes(b"p edge 100 0\n\xff\n")
+    assert _parse(path, lambda: read_graph(path, cap=10)) == f"GraphFormatError: {path}:1: header has 100 vertices, over the cap of 10"
+
+
 def _one_pair_sidecar(tmp_path) -> Path:
     path = tmp_path / "g.col"
     write_graph(cycle_graph(5), path, metadata={"removed_edges": np.array([[1, 2]], dtype=np.int64)})
@@ -500,7 +506,7 @@ def test_plain_pattern_edges_agree_with_line_parser(tmp_path, body):
     path = tmp_path / "g.col"
     path.write_text(body)
     g = gio._read_plain(BytesIO(body.encode()))
-    assert g is not None and read_graph(path) == g == gio._read_lines(path, body)
+    assert g is not None and read_graph(path) == g == gio._read_lines(path, BytesIO(body.encode()))
 
 
 def test_own_sidecar_memory_stays_near_its_size(tmp_path):
@@ -550,11 +556,11 @@ def test_bytes_readers_do_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk)
         path = tmp_path / f"{kind}.col"
         write_graph(cg, path)
         text, sidecar = path.read_text(), meta_path(path).read_text()
-        assert gio._read_plain(BytesIO(path.read_bytes())) == gio._read_lines(path, text) == cg.graph
+        assert gio._read_plain(BytesIO(path.read_bytes())) == gio._read_lines(path, BytesIO(text.encode())) == cg.graph
         assert _same(gio._read_own(BytesIO(sidecar.encode())), _json_route(sidecar))
         for how in PERTURBATIONS:
             path.write_bytes(_perturb(text, how, rng).encode())
-            assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, path.read_text()))
+            assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, BytesIO(path.read_text().encode())))
         for how in SIDECAR_PERTURBATIONS[1:]:  # all but "none"
             meta_path(path).write_bytes(_perturb_sidecar(sidecar, how, rng).encode())
             assert _same(_read_route(path), _json_route(meta_path(path).read_text()))

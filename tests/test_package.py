@@ -37,3 +37,17 @@ def test_readme_imports_only_public_names():
     ]
     assert imported
     assert sorted(set(imported) - set(capforge.__all__)) == []
+
+
+def test_only_the_solver_uses_its_private_names():
+    """Other modules reach the solver through its public names."""
+    imported = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(Path(capforge.__file__).parent.glob("*.py"))
+        if path.name != "solver.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "solver"), (0, "capforge.solver"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []
