@@ -7,6 +7,8 @@ environment perfbench gives its commands: every ``PYTHON*`` and
 ``CAPFORGE_*`` variable cleared, ``PYTHONPATH`` set to this checkout's
 ``src``, and one BLAS/OpenMP thread. The peak is the child's ``ru_maxrss``
 as ``os.wait4`` reports it, so nothing of this script's own memory counts.
+The command runs in the caller's working directory, so relative paths in
+ARGS are the caller's, not this checkout's.
 
 Usage:
     python scripts/peak_rss.py --runs 3 -- construct --nu 2 --n 512 --seed 7 --out g.col
@@ -46,7 +48,7 @@ def run_once(args: list[str], env: dict) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, "-m", "capforge.cli", *args],
-        cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0

@@ -373,7 +373,7 @@ def _verify_checks(path: str):
     checks = [("graph file parses", True, "")]
     try:
         meta = gio.read_metadata(path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return checks + [("metadata parses", False, str(exc))]
     if meta is None:
         return checks + [("metadata sidecar present", False, f"missing {gio.meta_path(path)}")]

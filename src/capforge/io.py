@@ -1,8 +1,8 @@
 """Graph file I/O.
 
-Format: DIMACS-like text with a ``p edge <N> <M>`` header and one
-``e <u> <v>`` line per edge (1-based, u < v), edge lines sorted
-lexicographically as strings so identical graphs serialize byte-identically.
+Format: DIMACS-like text, a ``p edge <N> <M>`` header and one ``e <u> <v>``
+line per edge (1-based, u < v) sorted as strings, so identical graphs give
+identical bytes; read_graph also takes comments and loose spacing, a window at a time.
 Construction metadata travels in a JSON sidecar at ``<path>.meta.json``.
 """
 
@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs
-from .graphs import DEFAULT_CAP, Graph, _add_edges, _chunks, _ints, _row_blocks, _unpack_rows, make_graph
+from .graphs import DEFAULT_CAP, Graph, _add_edges, _chunks, _ints, _row_blocks, _unpack_rows
 
 GENERATOR_VERSION = "capforge 0.1.0"
 
-# A body as write_graph writes it: this header, then "e u v" lines and
-# nothing else. The possessive repeat keeps no backtracking state per line.
-_HEADER = re.compile(rb"p edge ([0-9]{1,9}) ([0-9]{1,9})\n")
+# Edge lines as write_graph writes them, and nothing else. The possessive
+# repeat keeps no backtracking state per line.
 _LINES = re.compile(rb"(?:e [0-9]{1,9} [0-9]{1,9}\n)*+")
 
 
@@ -124,101 +123,92 @@ def _windows(f, start: int, end: int, mark: bytes):
             parts.append(block)
 
 
-def _read_plain(f, cap: int = DEFAULT_CAP) -> Graph | None:
-    """The graph of the body in the binary file f if it is in write_graph's
-    own format, or None when it is in any other form, is not a valid graph
-    or has over ``cap`` vertices. The body is read in windows of whole
-    lines, each checked and decoded into packed rows, which are allocated
-    once the header is within the cap."""
-    packed = None
-    for window in _windows(f, 0, f.seek(0, 2), b"\n"):
-        if not window.endswith(b"\n"):  # only the last line may lack its newline
-            window += b"\n"
-        start = 0
-        if packed is None:
-            header = _HEADER.match(window)
-            if header is None or not 1 <= int(header[1]) <= cap:
-                return None
-            n, m = int(header[1]), int(header[2])
-            packed = np.zeros((n, (n + 7) // 8), np.uint8)
-            start = header.end()
-        if not _LINES.fullmatch(window, start):
-            return None
-        ends = np.fromstring(window[start:].translate(None, b"e"), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
-        if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any():
-            return None
-        _add_edges(packed, ends)
-    if packed is None:
+def _plain_ends(window: bytes, n: int) -> np.ndarray | None:
+    """The 0-based endpoints of a window of write_graph's own "e u v" lines on
+    n vertices, or None for anything else, an endpoint out of range or a self-loop."""
+    if not window.endswith(b"\n"):  # only the last line may lack its newline
+        window += b"\n"
+    if not _LINES.fullmatch(window):
         return None
-    g = Graph(n, _ints(packed))
-    return g if g.edge_count() == m else None
+    ends = np.fromstring(window.translate(None, b"e"), dtype=np.int64, sep=" ").reshape(-1, 2) - 1
+    return None if ((ends < 0) | (ends >= n)).any() or (ends[:, 0] == ends[:, 1]).any() else ends
+
+
+def _window_lines(window: bytes, at: int):
+    """The lines of a window at byte ``at`` of its file, as ``str.splitlines()``
+    splits them, decoded a newline-ended piece at a time: a bad header is refused unread."""
+    start = 0
+    while start < len(window):
+        end = window.find(b"\n", start) + 1 or len(window)
+        try:
+            text = window[start:end].decode()
+        except UnicodeDecodeError as exc:  # named at its position in the file, as decoding all of it names it
+            at += start
+            exc.object, exc.start, exc.end = bytes(at) + exc.object, at + exc.start, at + exc.end
+            raise
+        yield from text.splitlines()
+        start = end
 
 
 def read_graph(path, cap: int = DEFAULT_CAP) -> Graph:
-    """Parse a graph file, refusing a header of over ``cap`` vertices before
-    anything is allocated for them. A body in write_graph's own format takes a
-    regex and numpy fast path on windows of the file, so the read holds the
-    packed rows and one window, not the file; any other or invalid body goes
-    to the line-by-line parser, which raises GraphFormatError with the line."""
+    """Parse a graph file in one pass over windows of whole lines, each decoded
+    straight into packed rows, so the read holds the rows and one window, not
+    the file, in any layout. After the header, a window of write_graph's own
+    edge lines takes a regex and numpy route; any other window (the header,
+    comments, blank lines, extra spaces, CRLF, an invalid line) is parsed
+    line by line, which raises GraphFormatError with the line. A header of
+    over ``cap`` vertices is refused before anything is allocated for it."""
+    n = m = packed = None
+    lineno = at = 0
     with open(path, "rb") as f:
-        return _read_plain(f, cap) or _read_lines(path, f, cap)
-
-
-def _text_lines(f):
-    """The lines of the binary file f, from its start, as ``str.splitlines()``
-    splits its text, decoded a line at a time: a bad header is refused unread."""
-    f.seek(0)
-    for piece in f:
-        try:
-            text = piece.decode()
-        except UnicodeDecodeError as exc:  # named at its position in the file, as decoding all of it names it
-            at = f.tell() - len(piece)
-            exc.object, exc.start, exc.end = bytes(at) + piece, at + exc.start, at + exc.end
-            raise
-        yield from text.splitlines()
-
-
-def _read_lines(path, f, cap: int = DEFAULT_CAP) -> Graph:
-    n = None
-    m = None
-    edges = []
-    for lineno, line in enumerate(_text_lines(f), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise GraphFormatError(f"{path}:{lineno}: duplicate header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}") from exc
-            if n < 1:
-                raise GraphFormatError(f"{path}:{lineno}: header needs at least one vertex, got {n}")
-            if n > cap:
-                raise GraphFormatError(f"{path}:{lineno}: header has {n} vertices, over the cap of {cap}")
-        elif parts[0] == "e":
-            if n is None:
-                raise GraphFormatError(f"{path}:{lineno}: edge before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"{path}:{lineno}: bad edge line {line!r}")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: bad edge line {line!r}") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"{path}:{lineno}: endpoint out of range in {line!r}")
-            if u == v:
-                raise GraphFormatError(f"{path}:{lineno}: self-loop in {line!r}")
-            edges.append((u, v))
-        else:
-            raise GraphFormatError(f"{path}:{lineno}: unrecognized line {line!r}")
+        for window in _windows(f, 0, f.seek(0, 2), b"\n"):
+            ends = None if packed is None else _plain_ends(window, n)
+            if ends is not None:
+                lineno += len(ends)  # one edge per line
+            else:
+                edges = []
+                for lineno, line in enumerate(_window_lines(window, at), start=lineno + 1):
+                    line = line.strip()
+                    if not line or line.startswith("c"):
+                        continue
+                    parts = line.split()
+                    if parts[0] == "p":
+                        if n is not None:
+                            raise GraphFormatError(f"{path}:{lineno}: duplicate header")
+                        if len(parts) != 4 or parts[1] != "edge":
+                            raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}")
+                        try:
+                            n, m = int(parts[2]), int(parts[3])
+                        except ValueError as exc:
+                            raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}") from exc
+                        if n < 1:
+                            raise GraphFormatError(f"{path}:{lineno}: header needs at least one vertex, got {n}")
+                        if n > cap:
+                            raise GraphFormatError(f"{path}:{lineno}: header has {n} vertices, over the cap of {cap}")
+                        packed = np.zeros((n, (n + 7) // 8), np.uint8)
+                    elif parts[0] == "e":
+                        if n is None:
+                            raise GraphFormatError(f"{path}:{lineno}: edge before header")
+                        if len(parts) != 3:
+                            raise GraphFormatError(f"{path}:{lineno}: bad edge line {line!r}")
+                        try:
+                            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                        except ValueError as exc:
+                            raise GraphFormatError(f"{path}:{lineno}: bad edge line {line!r}") from exc
+                        if not (0 <= u < n and 0 <= v < n):
+                            raise GraphFormatError(f"{path}:{lineno}: endpoint out of range in {line!r}")
+                        if u == v:
+                            raise GraphFormatError(f"{path}:{lineno}: self-loop in {line!r}")
+                        edges.append((u, v))
+                    else:
+                        raise GraphFormatError(f"{path}:{lineno}: unrecognized line {line!r}")
+                ends = np.array(edges, np.int64).reshape(-1, 2)
+            if len(ends):
+                _add_edges(packed, ends)
+            at += len(window)
     if n is None:
         raise GraphFormatError(f"{path}: missing header")
-    g = make_graph(n, edges)
+    g = Graph(n, _ints(packed))
     if g.edge_count() != m:
         raise GraphFormatError(f"{path}: header claims {m} edges, found {g.edge_count()} distinct")
     return g

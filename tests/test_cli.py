@@ -376,6 +376,22 @@ def test_verify_of_input_that_is_not_utf8(tmp_path, capsys, target, edit, out):
     assert capsys.readouterr().err == f"capforge: error: cannot load {g}: {message}\n"
 
 
+def test_verify_fails_a_sidecar_it_cannot_open(tmp_path, capsys):
+    """A sidecar path that is a directory fails "metadata parses" with the
+    system's message, as an unreadable graph file fails its own check."""
+    g = tmp_path / "t.col"
+    assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0
+    meta_path(g).unlink()
+    meta_path(g).mkdir()
+    capsys.readouterr()
+    assert run("verify", str(g)) == 2
+    assert capsys.readouterr().out == (
+        f"[ok ] graph file parses\n[FAIL] metadata parses ([Errno 21] Is a directory: '{meta_path(g)}')\n"
+    )
+    assert run("series", str(g), "--k-max", "1") == 1
+    assert _one_line_error(capsys).startswith(f"capforge: error: cannot load {g}")
+
+
 def test_verify_detects_tampered_graph_file(tmp_path):
     g = tmp_path / "t.col"
     assert run("construct", "--nu", "2", "--n", "3", "--seed", "4", "--out", str(g)) == 0

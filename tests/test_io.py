@@ -207,6 +207,14 @@ def _parse(path, parser):
         return f"GraphFormatError: {exc}"
 
 
+def _line_route(path):
+    """What read_graph gives, or its error, with every window sent to the
+    line-by-line route: the reference the regex route must agree with."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_LINES", re.compile(rb"(?!)"))  # matches no window
+        return _parse(path, lambda: read_graph(path))
+
+
 def _perturb(text: str, how: str, rng: random.Random) -> str:
     lines = text.splitlines()
     header, edges = lines[0], lines[1:]
@@ -251,8 +259,8 @@ PERTURBATIONS = [
     st.sampled_from(PERTURBATIONS),
 )
 def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, how):
-    """write_graph -> read_graph round-trips, and on perturbed files the fast
-    path gives the same Graph or the same error as the line-by-line parser."""
+    """write_graph -> read_graph round-trips, and on perturbed files it gives
+    the same Graph or the same error as with every window read line by line."""
     path = tmp_path_factory.mktemp("rt") / "g.col"
     g = _graph_from_seed(n, density, seed)
     write_graph(g, path)
@@ -260,10 +268,7 @@ def test_read_graph_agrees_with_line_parser(tmp_path_factory, n, density, seed, 
     assert lines[0] == f"p edge {n} {g.edge_count()}" and lines[1:] == sorted(lines[1:])
     assert read_graph(path) == g
     path.write_bytes(_perturb(path.read_text(), how, random.Random(seed)).encode())
-    text = path.read_text()
-    assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, BytesIO(text.encode())))
-    if how in ("none", "crlf", "duplicate", "no_final_newline"):
-        assert gio._read_plain(BytesIO(text.encode())) == g  # write_graph's own format: the fast path
+    assert _parse(path, lambda: read_graph(path)) == _line_route(path)
     if how in ("none", "comment", "blank", "spaces", "plus", "crlf", "duplicate", "no_final_newline"):
         assert read_graph(path) == g
 
@@ -461,7 +466,6 @@ def test_header_over_the_cap_is_refused_before_allocating(tmp_path, comment):
         tracemalloc.stop()
     assert message == f"{path}:{line}: header has 100000000 vertices, over the cap of {DEFAULT_CAP}"
     assert peak < 2**20
-    assert gio._read_plain(BytesIO(path.read_bytes())) is None
 
 
 def test_cap_bounds_both_parsers(tmp_path):
@@ -502,11 +506,25 @@ def test_pair_list_pattern_edges_agree_with_json(tmp_path, edit, own):
 
 
 @pytest.mark.parametrize("body", ["p edge 3 0\n", "p edge 3 1\ne 1 2", "p edge 3 0"], ids=["no_edges", "no_final_newline", "header_only"])
-def test_plain_pattern_edges_agree_with_line_parser(tmp_path, body):
+def test_plain_pattern_edges_agree_with_line_parser(tmp_path, monkeypatch, body):
     path = tmp_path / "g.col"
     path.write_text(body)
-    g = gio._read_plain(BytesIO(body.encode()))
-    assert g is not None and read_graph(path) == g == gio._read_lines(path, BytesIO(body.encode()))
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", 1)  # a window per line: edge lines take the regex route
+    assert read_graph(path) == _line_route(path)
+
+
+def test_own_file_sends_only_the_header_window_line_by_line(tmp_path, monkeypatch):
+    """With windows of about 44 bytes, the header's window is parsed line by
+    line and every later window of the writer's own lines by regex."""
+    path = tmp_path / "g.col"
+    g = _graph_from_seed(60, 0.3, 1)
+    write_graph(g, path)
+    monkeypatch.setattr(graphs, "_EDGE_CHUNK", 44)
+    calls = []
+    lines = gio._window_lines
+    monkeypatch.setattr(gio, "_window_lines", lambda window, at: calls.append(at) or lines(window, at))
+    assert read_graph(path) == g
+    assert calls == [0] and len(path.read_bytes()) > 10 * 44
 
 
 def test_own_sidecar_memory_stays_near_its_size(tmp_path):
@@ -549,18 +567,18 @@ def test_sidecar_is_written_without_holding_its_text(tmp_path, monkeypatch):
 def test_bytes_readers_do_not_depend_on_chunk_size(tmp_path, monkeypatch, chunk):
     """Text is decoded about _EDGE_CHUNK bytes at a time, cut at line and
     pair ends: with one record per chunk, a few or many, the readers give
-    what the line parser and json give, on own files and perturbed ones."""
+    what the line route and json give, on own files and perturbed ones."""
     monkeypatch.setattr(graphs, "_EDGE_CHUNK", chunk)
     rng = random.Random(chunk)
     for kind, cg in SIDECARS.items():
         path = tmp_path / f"{kind}.col"
         write_graph(cg, path)
         text, sidecar = path.read_text(), meta_path(path).read_text()
-        assert gio._read_plain(BytesIO(path.read_bytes())) == gio._read_lines(path, BytesIO(text.encode())) == cg.graph
+        assert read_graph(path) == _line_route(path) == cg.graph
         assert _same(gio._read_own(BytesIO(sidecar.encode())), _json_route(sidecar))
         for how in PERTURBATIONS:
             path.write_bytes(_perturb(text, how, rng).encode())
-            assert _parse(path, lambda: read_graph(path)) == _parse(path, lambda: gio._read_lines(path, BytesIO(path.read_text().encode())))
+            assert _parse(path, lambda: read_graph(path)) == _line_route(path)
         for how in SIDECAR_PERTURBATIONS[1:]:  # all but "none"
             meta_path(path).write_bytes(_perturb_sidecar(sidecar, how, rng).encode())
             assert _same(_read_route(path), _json_route(meta_path(path).read_text()))
@@ -603,10 +621,22 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_read_graph_holds_the_file_and_one_chunk(jump_1024):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda body: body,
+        lambda body: b"c made elsewhere\n" + body,
+        lambda body: body.replace(b"\ne ", b"\ne  "),
+    ],
+    ids=["own", "comment", "spaces"],
+)
+def test_read_graph_holds_the_file_and_one_chunk(jump_1024, tmp_path, edit):
     """The packed rows, the row ints and one window of the file and its
-    numbers: under 1 MiB, less than the 2.57 MB file itself."""
-    cg, path = jump_1024
+    numbers: under 1 MiB, less than the 2.57 MB file itself, in the writer's
+    own layout and in one that is parsed line by line."""
+    cg, own = jump_1024
+    path = tmp_path / "g.col"
+    path.write_bytes(edit(own.read_bytes()))
     g, peak = _traced(lambda: read_graph(path))
     assert g == cg.graph
     assert peak < 2**20
