@@ -292,7 +292,7 @@ def _is_independent_view(view: PowerGraphView, members: list) -> bool:
         acc = None
         for c in range(view.k):
             col = tuples[lo:hi, c]
-            bits = aoe[:, col >> 3]  # a new array, shifted and masked in place
+            bits = np.take(aoe, col >> 3, axis=1)  # a new C-ordered array for packbits, shifted and masked in place
             bits >>= (col & 7).astype(np.uint8)
             bits &= 1
             rows = np.packbits(bits, axis=1, bitorder="little")[where[:, c]]

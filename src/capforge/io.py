@@ -136,16 +136,18 @@ def _plain_ends(window: bytes, n: int) -> np.ndarray | None:
 
 def _window_lines(window: bytes, at: int):
     """The lines of a window at byte ``at`` of its file, as ``str.splitlines()``
-    splits them, decoded a newline-ended piece at a time: a bad header is refused unread."""
+    splits them, decoded a newline-ended piece at a time: a bad header is refused
+    unread. A byte that is not UTF-8 raises GraphFormatError with the text that
+    decoding the whole file gives, built from its offset."""
     start = 0
     while start < len(window):
         end = window.find(b"\n", start) + 1 or len(window)
         try:
             text = window[start:end].decode()
-        except UnicodeDecodeError as exc:  # named at its position in the file, as decoding all of it names it
-            at += start
-            exc.object, exc.start, exc.end = bytes(at) + exc.object, at + exc.start, at + exc.end
-            raise
+        except UnicodeDecodeError as exc:
+            first, last = at + start + exc.start, at + start + exc.end - 1
+            bad = f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last else f"bytes in position {first}-{last}"
+            raise GraphFormatError(f"'{exc.encoding}' codec can't decode {bad}: {exc.reason}") from exc
         yield from text.splitlines()
         start = end
 

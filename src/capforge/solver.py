@@ -193,7 +193,9 @@ def _relabel(rows: list[int], order: list[int]) -> list[int]:
     out: list[int] = []
     for start in range(0, n, _RELABEL_BLOCK):
         bits = _unpack_rows([rows[v] for v in order[start : start + _RELABEL_BLOCK]], n)
-        out.extend(_ints(np.packbits(bits[:, perm], axis=1, bitorder="little")))
+        # np.take returns the gather in C order, so packbits walks each row in
+        # place; bits[:, perm] would return it in Fortran order.
+        out.extend(_ints(np.packbits(np.take(bits, perm, axis=1), axis=1, bitorder="little")))
     return out
 
 

@@ -642,6 +642,28 @@ def test_read_graph_holds_the_file_and_one_chunk(jump_1024, tmp_path, edit):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda body: body[:-3] + b"\xff" + body[-2:], "'utf-8' codec can't decode byte 0xff in position 2573996: invalid start byte"),
+        (lambda body: body[:-3] + b"\xe2\x82" + body[-1:], "'utf-8' codec can't decode bytes in position 2573996-2573997: invalid continuation byte"),
+    ],
+    ids=["start_byte", "cut_sequence"],
+)
+def test_read_graph_names_a_bad_byte_near_the_end_in_one_chunk(jump_1024, tmp_path, edit, message):
+    """A byte that is not UTF-8 near the end of the N=1024 file is named at its
+    offset in the file, as decoding the whole file names it, under the same
+    1 MiB as a clean read: no buffer as long as the file is built for it."""
+    _, own = jump_1024
+    path = tmp_path / "g.col"
+    path.write_bytes(edit(own.read_bytes()))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode()
+    raised, peak = _traced(lambda: pytest.raises(GraphFormatError, read_graph, path))
+    assert str(raised.value) == str(whole.value) == message
+    assert peak < 2**20
+
+
 def test_write_body_holds_one_block(jump_1024):
     """Row blocks of at most _EDGE_CHUNK bits, formatted one at a time: under
     a quarter of the (M, 2) int64 edge array a sort of every edge needs."""

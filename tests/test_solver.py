@@ -26,7 +26,7 @@ from capforge import (
     sample_jump_graph,
     strong_product,
 )
-from capforge.solver import _merge, _search, _tables, worker_map
+from capforge.solver import _merge, _relabel, _search, _tables, worker_map
 
 
 def random_graph(n: int, density: float, seed: int):
@@ -297,6 +297,19 @@ class TestBranchAndBound:
         res = max_independent_set(g, SolverBudget(max_nodes=max_nodes, target=target))
         got = (res.members, res.size, res.status, res.certified_upper, res.search_nodes)
         assert got == _full_colouring_mis(g, max_nodes=max_nodes, target=target)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
+def test_relabel_is_the_bit_permutation_across_blocks_and_bytes(n):
+    """Row i of _relabel(rows, order) is row order[i] with bit order[j] moved
+    to bit j, on either side of the 64-row block and of a byte, for graph rows
+    and for rows that are not symmetric."""
+    rng = random.Random(n)
+    for seed in range(3):
+        order = rng.sample(range(n), n)
+        for rows in (random_graph(n, rng.random(), seed).adj, [rng.getrandbits(n) for _ in range(n)]):
+            want = [sum(1 << j for j, u in enumerate(order) if rows[v] >> u & 1) for v in order]
+            assert _relabel(rows, order) == want
 
 
 class TestSolverBudget:
